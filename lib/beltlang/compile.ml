@@ -359,8 +359,12 @@ and compile_bool ctx fctx ~negate (e : Ast.expr) =
     emit ctx
       (B.make B.op_test ~c:((match p with Ast.Is_null -> 0 | _ -> 1) lor neg))
   | e ->
+    (* Reached only through at least one absorbed [not], so the value
+       must become a boolean: an even count of [not]s still yields
+       one, never [e] itself. *)
     compile_expr ctx fctx e;
-    if negate then emit ctx (B.make B.op_not)
+    emit ctx (B.make B.op_not);
+    if not negate then emit ctx (B.make B.op_not)
 
 (* Argument lists (prims, calls, let bindings): adjacent local reads
    collapse into [local2] — both pushes, one dispatch. *)

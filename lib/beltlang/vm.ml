@@ -7,13 +7,14 @@
    [Gc_stats], same sanitizer-visible event stream. That holds
    because (a) the operand stack IS the Roots shadow stack and the
    compiler pushes/releases exactly where the interpreter does, so
-   every collection sees the same live set; (b) the inlined
-   allocation fast path replicates [Gc.alloc]'s nursery-hit case
-   word for word (the miss case falls back to [Gc.alloc] itself, and
-   [Increment.bump_or_null] is side-effect-free on failure); (c) the
-   inlined write barrier replicates [Write_barrier.record], counters,
-   hooks and all. The differential suite (test_bytecode) enforces all
-   three across programs x configurations.
+   every collection sees the same live set; (b) allocation takes
+   [Gc.alloc_small_fast], the same nursery-hit path [Gc.alloc] tries
+   first (a miss falls back to [Gc.alloc] itself, and
+   [Increment.bump_or_null] is side-effect-free on failure); (c) every
+   reference store goes through [Write_barrier.record] itself, the one
+   barrier [Gc.write] uses, counters, hooks and all. The differential
+   suite (test_bytecode) enforces all three across programs x
+   configurations.
 
    What makes it fast, relative to the AST walker:
    - one int-array fetch + one jump-table match per step (no
@@ -57,7 +58,6 @@ type t = {
   gc : Beltway.Gc.t;
   st : State.t;
   mem : Memory.t;
-  frame_log : int;
   pair_ty : Type_registry.id;
   vector_ty : Type_registry.id;
   closure_ty : Type_registry.id;
@@ -94,7 +94,6 @@ let create gc =
     gc;
     st;
     mem = st.State.mem;
-    frame_log = Memory.frame_log st.State.mem;
     pair_ty;
     vector_ty;
     closure_ty;
@@ -139,51 +138,7 @@ let[@inline] alloc t ~ty ~tib ~nfields =
   let addr = Beltway.Gc.alloc_small_fast t.gc ~tib ~nfields in
   if addr <> Addr.null then addr else Beltway.Gc.alloc t.gc ~ty ~nfields
 
-(* The write barrier, replicated from [Write_barrier.record] so the
-   filter/stamp-compare fast path decides inline at the opcode site;
-   counters and hooks fire exactly as the generic path's. The
-   differential suite pins this equivalence across disciplines. *)
-(* Out-of-line slow tail (remset insert + hooks): keeps the inline
-   part of the barrier — the filter and stamp compare — free of
-   closure definitions, which the non-flambda inliner refuses. *)
-let barrier_slow st stats ~s ~tg ~slot =
-  stats.Beltway.Gc_stats.barrier_slow <- stats.Beltway.Gc_stats.barrier_slow + 1;
-  Beltway.Remset.insert st.State.remsets ~src_frame:s ~tgt_frame:tg ~slot;
-  match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    let entries = Beltway.Remset.total_entries st.State.remsets in
-    List.iter (fun h -> h.State.on_barrier_slow ~entries) hs
-
-let[@inline] record_barrier t ~slot ~target =
-  let st = t.st in
-  let stats = st.State.stats in
-  stats.Beltway.Gc_stats.barrier_ops <- stats.Beltway.Gc_stats.barrier_ops + 1;
-  let s = slot lsr t.frame_log in
-  let tg = target lsr t.frame_log in
-  match st.State.policy.State.barrier with
-  | State.Barrier_cards ->
-    Beltway.Card_table.mark st.State.cards ~frame:s;
-    stats.Beltway.Gc_stats.barrier_fast <- stats.Beltway.Gc_stats.barrier_fast + 1
-  | State.Barrier_remsets { nursery_filter } ->
-    let in_nursery =
-      nursery_filter
-      &&
-      match Beltway.Belt.back st.State.belts.(0) with
-      | None -> false
-      | Some inc ->
-        Beltway.Frame_table.incr_of st.State.ftab s = inc.Beltway.Increment.id
-    in
-    if in_nursery then
-      stats.Beltway.Gc_stats.barrier_filtered <- stats.Beltway.Gc_stats.barrier_filtered + 1
-    else if
-      s <> tg
-      && Beltway.Frame_table.stamp st.State.ftab tg
-         < Beltway.Frame_table.stamp st.State.ftab s
-    then barrier_slow st stats ~s ~tg ~slot
-    else stats.Beltway.Gc_stats.barrier_fast <- stats.Beltway.Gc_stats.barrier_fast + 1
-
-(* [Gc.write], with the barrier decision inlined above. Field access
+(* [Gc.write] through the collector's own barrier. Field access
    skips [Object_model]'s header re-read and [Memory]'s liveness
    checks: every address the VM dereferences came from a root slot
    (kept current by the collector) and passed a TIB type check, and
@@ -197,7 +152,7 @@ let write_hooks hs obj i v =
 let[@inline] write t obj i v =
   Memory.unsafe_set t.mem (obj + Object_model.header_words + i) v;
   if Value.is_ref v then
-    record_barrier t ~slot:(Object_model.field_addr obj i)
+    Beltway.Write_barrier.record t.st ~slot:(Object_model.field_addr obj i)
       ~target:(Value.to_addr v);
   match t.st.State.hooks with [] -> () | hs -> write_hooks hs obj i v
 

@@ -3,9 +3,10 @@
     Drop-in replacement for {!Interp}: same heap representation, same
     output, and — by construction — the same [Gc_stats] and
     sanitizer-visible event stream on every program (the operand
-    stack is the Roots shadow stack, and the inlined allocation /
-    write-barrier fast paths replicate the generic [Gc] entry points
-    exactly). What changes is speed: a flat code stream, a jump-table
+    stack is the Roots shadow stack, and allocation and reference
+    stores go through the same [Gc.alloc_small_fast] and
+    [Write_barrier.record] fast paths as the generic [Gc] entry
+    points). What changes is speed: a flat code stream, a jump-table
     dispatch loop, static frame offsets for locals, and cached-TIB
     type checks. The differential suite in [test_bytecode] pins the
     equivalence. *)

@@ -74,14 +74,14 @@ let[@inline] finish_alloc_tib st ~tib ~nfields ~size addr =
 let finish_alloc st ~ty ~nfields ~size addr =
   finish_alloc_tib st ~tib:(tib_value st ty) ~nfields ~size addr
 
-(* The narrow fast-path entry point the bytecode VM inlines at its
-   allocating opcodes: the nursery bump hit of [alloc], nothing else.
-   Returns [Addr.null] whenever the slow path must run — LOS-sized
-   request, no open nursery, or no room — having had no side effect
-   at all ([bump_or_null] is side-effect-free on failure), so the
-   caller's fallback to [alloc] replays from the same state and the
-   two paths compose to exactly [alloc]'s behaviour: same stats, same
-   barrier traffic, same hooks. *)
+(* The allocation fast path, shared by [alloc] and the bytecode VM:
+   the nursery bump hit, nothing else. Returns [Addr.null] whenever the
+   slow path must run — negative field count, LOS-sized request, no
+   open nursery, or no room — having had no side effect at all
+   ([bump_or_null] is side-effect-free on failure), so the fallback to
+   [alloc_slow] replays from the same state and the two paths compose
+   to exactly the slow path's behaviour: same stats, same barrier
+   traffic, same hooks. *)
 let[@inline] alloc_small_fast st ~tib ~nfields =
   let size = Object_model.size_words ~nfields in
   let large =
@@ -89,7 +89,7 @@ let[@inline] alloc_small_fast st ~tib ~nfields =
     | Some threshold -> size >= threshold
     | None -> false
   in
-  if large then Addr.null
+  if nfields < 0 || large then Addr.null
   else
     match Belt.back st.State.belts.(0) with
     | Some inc when not inc.Increment.sealed ->
@@ -98,8 +98,9 @@ let[@inline] alloc_small_fast st ~tib ~nfields =
       else finish_alloc_tib st ~tib ~nfields ~size addr
     | _ -> Addr.null
 
-let alloc st ~ty ~nfields =
-  if nfields < 0 then invalid_arg "Gc.alloc: negative field count";
+(* The full allocation path: the LOS, or the policy's trigger cascade
+   ([Schedule.prepare_alloc]) followed by a bump or free-list fit. *)
+let alloc_slow st ~ty ~nfields =
   let size = Object_model.size_words ~nfields in
   match st.State.config.Config.los_threshold with
   | Some threshold when size >= threshold ->
@@ -114,6 +115,11 @@ let alloc st ~ty ~nfields =
       (* prepare_alloc guarantees room; reaching here is a scheduler bug. *)
       invalid_arg "Gc.alloc: internal error: nursery bump failed after prepare";
     finish_alloc st ~ty ~nfields ~size addr
+
+let alloc st ~ty ~nfields =
+  if nfields < 0 then invalid_arg "Gc.alloc: negative field count";
+  let addr = alloc_small_fast st ~tib:(tib_value st ty) ~nfields in
+  if addr <> Addr.null then addr else alloc_slow st ~ty ~nfields
 
 let alloc_pretenured st ~ty ~nfields ~belt =
   if nfields < 0 then invalid_arg "Gc.alloc_pretenured: negative field count";
@@ -130,8 +136,15 @@ let alloc_pretenured st ~ty ~nfields ~belt =
       invalid_arg "Gc.alloc_pretenured: internal error: bump failed";
     finish_alloc st ~ty ~nfields ~size addr
 
+(* One checked header read decides the store: a forwarded object or an
+   out-of-range field takes [Object_model.set_field], which raises its
+   usual message; otherwise the field is stored directly. *)
 let write st obj i v =
-  Object_model.set_field st.State.mem obj i v;
+  let mem = st.State.mem in
+  let header = Memory.get mem obj in
+  if header land 1 = 1 || i < 0 || i >= header lsr 1 then
+    Object_model.set_field mem obj i v
+  else Memory.set mem (Object_model.field_addr obj i) v;
   if Value.is_ref v then
     Write_barrier.record st ~slot:(Object_model.field_addr obj i)
       ~target:(Value.to_addr v);

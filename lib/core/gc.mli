@@ -57,8 +57,9 @@ val alloc_small_fast : t -> tib:Value.t -> nfields:int -> Addr.t
     runtime's hot allocation sites (the Jikes RVM / MMTk technique):
     exactly {!alloc}'s nursery bump hit — init, stats, TIB barrier
     write and hooks included — or [Addr.null], with no side effect,
-    when the slow path must run (LOS-sized request, no open nursery,
-    or no room). On [Addr.null] the caller falls back to {!alloc};
+    when the slow path must run (negative field count, LOS-sized
+    request, no open nursery, or no room). {!alloc} itself tries it
+    first. On [Addr.null] the caller falls back to {!alloc};
     the composition is behaviourally identical to calling {!alloc}
     directly. [tib] must come from {!tib_value}. *)
 

@@ -274,17 +274,25 @@ let scan_step t mem pos =
    instead of three (the Cheney drain calls this per copied object).
    The object's size comes straight off its header word — objects in a
    destination increment are never forwarded, and the increment's
-   frames are live, so the unchecked load is sound. *)
+   frames are live, so the unchecked load is sound. The common case —
+   a position inside the cursor's frame, short of the cursor — is
+   already normal, so it steps without calling [normalise]. *)
+let[@inline] step_over mem pos addr =
+  pos.addr <- addr + (Memory.unsafe_get mem addr lsr 1) + Object_model.header_words;
+  addr
+
 let scan_next t mem pos =
-  if t.pinned || frame_count t = 0 then Addr.null
+  let addr = pos.addr in
+  if
+    addr <> Addr.null && addr < t.cursor
+    && pos.fi = frame_count t - 1
+    && not t.pinned
+  then step_over mem pos addr
+  else if t.pinned || frame_count t = 0 then Addr.null
   else begin
     normalise t mem pos;
-    if pos.fi < frame_count t - 1 || pos.addr < t.cursor then begin
-      let addr = pos.addr in
-      pos.addr <-
-        addr + (Memory.unsafe_get mem addr lsr 1) + Object_model.header_words;
-      addr
-    end
+    if pos.fi < frame_count t - 1 || pos.addr < t.cursor then
+      step_over mem pos pos.addr
     else Addr.null
   end
 

@@ -127,8 +127,8 @@ type t = {
   remsets : Remset.t;
   cards : Card_table.t;
   stats : Gc_stats.t;
-  incs_by_id : (int, Increment.t) Hashtbl.t;
   mutable inc_by_id : Increment.t option array;
+  mutable live_incs : int;
   gc_slots : int Beltway_util.Vec.t;
   gc_pinned : Increment.t Beltway_util.Vec.t;
   gc_mark_stack : int Beltway_util.Vec.t;
@@ -270,8 +270,8 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     remsets = Remset.create ();
     cards = Card_table.create ();
     stats;
-    incs_by_id = Hashtbl.create 64;
     inc_by_id = Array.make 64 None;
+    live_incs = 0;
     gc_slots = Beltway_util.Vec.create ~dummy:0 ();
     gc_pinned =
       Beltway_util.Vec.create
@@ -349,7 +349,7 @@ let site_name t id =
 
 let heap_words t = t.heap_frames * Memory.frame_words t.mem
 let free_frames t = t.heap_frames - t.frames_used
-let total_increments t = Hashtbl.length t.incs_by_id
+let total_increments t = t.live_incs
 
 let live_words t =
   Array.fold_left (fun acc b -> acc + Belt.words_used b) 0 t.belts
@@ -369,8 +369,8 @@ let dest_belt t belt =
   let p = t.policy.promote in
   p.(min belt (Array.length p - 1))
 
-(* The id -> increment array mirrors [incs_by_id] so the collector's
-   forward path resolves an id with an array read, not a hash probe. *)
+(* The id -> increment array is the one increment lookup: the
+   collector's forward path resolves an id with an array read. *)
 let register_inc t id inc =
   let cap = Array.length t.inc_by_id in
   if id >= cap then begin
@@ -379,9 +379,9 @@ let register_inc t id inc =
     t.inc_by_id <- arr
   end;
   t.inc_by_id.(id) <- Some inc;
-  Hashtbl.replace t.incs_by_id id inc
+  t.live_incs <- t.live_incs + 1
 
-(* Pre-grow the id mirror so [register_inc] never swaps the array out
+(* Pre-grow the id array so [register_inc] never swaps the array out
    from under the parallel collector's lock-free forward path. *)
 let reserve_inc_ids t n =
   let cap = Array.length t.inc_by_id in
@@ -454,7 +454,7 @@ let free_increment t inc =
         List.iter (fun h -> h.on_frame_free ~frame ~belt:inc.Increment.belt) hs)
     inc.Increment.frames;
   Belt.remove t.belts.(inc.Increment.belt) inc;
-  Hashtbl.remove t.incs_by_id inc.Increment.id;
+  t.live_incs <- t.live_incs - 1;
   t.inc_by_id.(inc.Increment.id) <- None
 
 let inc_of_frame t frame =

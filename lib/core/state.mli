@@ -173,11 +173,12 @@ type t = {
   remsets : Remset.t;
   cards : Card_table.t; (** used when the configuration selects [Cards] *)
   stats : Gc_stats.t;
-  incs_by_id : (int, Increment.t) Hashtbl.t;
   mutable inc_by_id : Increment.t option array;
-      (** mirror of [incs_by_id]: id -> increment as a grow-on-demand
-          array, so the collection fast path resolves an increment id
-          with an array read instead of a hash probe *)
+      (** id -> live increment as a grow-on-demand array: the one
+          increment lookup, an array read on the collection fast path *)
+  mutable live_incs : int;
+      (** count of [Some] entries in [inc_by_id], kept by the
+          increment constructors and [free_increment] *)
   gc_slots : int Beltway_util.Vec.t;
       (** reused scratch for the collector's remembered-slot snapshot *)
   gc_pinned : Increment.t Beltway_util.Vec.t;
@@ -334,8 +335,8 @@ val new_increment : t -> belt:int -> Increment.t
 (** Create an empty increment at the back of the belt. *)
 
 val reserve_inc_ids : t -> int -> unit
-(** Pre-grow the id -> increment mirror to hold at least [n] ids, so
-    increments opened while worker domains read the mirror without the
+(** Pre-grow the id -> increment array to hold at least [n] ids, so
+    increments opened while worker domains read the array without the
     lock never swap its backing array. *)
 
 val grant_frame : t -> Increment.t -> during_gc:bool -> unit

@@ -10,6 +10,7 @@ let () =
       ("frame table", Test_frame_table.suite);
       ("schedule", Test_schedule.suite);
       ("gc", Test_gc.suite);
+      ("fast path", Test_fastpath.suite);
       ("los", Test_los.suite);
       ("cards", Test_cards.suite);
       ("trace", Test_trace.suite);

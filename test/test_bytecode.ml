@@ -265,6 +265,18 @@ let test_dump_is_stable () =
   checkb "dump mentions code section" true
     (String.length dump > 0 && String.index_opt dump '\n' <> None)
 
+(* [(not (not x))] is a boolean, not [x]: the compiler absorbs [not]s
+   into a negate bit, and an even count must still normalise. *)
+let test_double_not () =
+  let src =
+    "(print (pair? (not (not (cons 1 2))))) (print (not (not 5))) \
+     (print (not (not (not nil))))"
+  in
+  let a = run_interp "25.25.100" src in
+  let b = run_vm "25.25.100" src in
+  check_equal ~label:"double not" a b;
+  checks "booleans" "0\n1\n1\n" b.out
+
 (* ---- operand limits ---- *)
 
 let deep_lambda_nest n =
@@ -304,5 +316,6 @@ let suite =
     ("disassembly smoke", `Quick, test_dump_is_stable);
     ("operand limit: hops overflow", `Quick, test_limit_hops);
     ("operand limit: within budget", `Quick, test_limit_within);
+    ("double not is a boolean", `Quick, test_double_not);
     QCheck_alcotest.to_alcotest differential_prop;
   ]
