@@ -10,10 +10,12 @@ type fault =
   | Racy_forwarding
   | Dropped_mark
   | Misthreaded_compact
+  | Overlapping_hole
 
 let all =
   [ Skipped_barrier; Dropped_remset; Corrupted_header; Premature_free;
-    Undersized_reserve; Racy_forwarding; Dropped_mark; Misthreaded_compact ]
+    Undersized_reserve; Racy_forwarding; Dropped_mark; Misthreaded_compact;
+    Overlapping_hole ]
 
 let name = function
   | Skipped_barrier -> "skipped-barrier"
@@ -24,6 +26,7 @@ let name = function
   | Racy_forwarding -> "racy-forwarding"
   | Dropped_mark -> "dropped-mark"
   | Misthreaded_compact -> "misthreaded-compact"
+  | Overlapping_hole -> "overlapping-hole"
 
 (* A small generational heap: 25.25.100 (optionally with a +strategy
    suffix for the in-place defect classes), 1 KiB frames, 512 KiB. *)
@@ -232,6 +235,46 @@ let misthreaded_compact () =
   Sanitizer.check_now san;
   result_of san ~after:"a slot unthreaded to the wrong compaction address"
 
+(* The mark-sweep free list's defect class: a hole entry that no longer
+   matches the heap — stale from an earlier sweep, or sized past its
+   filler — so first-fit hands out words a live object still occupies.
+   Deterministic end-state emulation: after a clean mark-sweep
+   collection, leave the increment holding a rooted child with a single
+   hole entry covering that child, then allocate the child's size
+   there, as the allocator would, and initialise the new object. Its
+   zeroed fields overwrite the child's back pointer, so the diff must
+   flag the child. *)
+let overlapping_hole () =
+  let gc, san, ty =
+    setup ~config:"25.25.100+strategy:marksweep" ~level:Sanitizer.Shadow ()
+  in
+  let roots = Gc.roots gc in
+  let parent = Gc.alloc gc ~ty ~nfields:2 in
+  let gp = Roots.new_global roots (Value.of_addr parent) in
+  let child = Gc.alloc gc ~ty ~nfields:2 in
+  Gc.write gc (Value.to_addr (Roots.get_global roots gp)) 0 (Value.of_addr child);
+  Gc.write gc child 0 (Value.of_addr parent);
+  for _ = 1 to 200 do
+    ignore (Gc.alloc gc ~ty ~nfields:4)
+  done;
+  Gc.full_collect gc;
+  let* () = precheck san in
+  let st = Gc.state gc in
+  let mem = st.State.mem in
+  let child = Value.to_addr (Gc.read gc (Value.to_addr (Roots.get_global roots gp)) 0) in
+  let inc = Option.get (State.inc_of_frame st (State.frame_of_addr st child)) in
+  let size = Object_model.size_words ~nfields:2 in
+  Beltway.Increment.clear_free_list inc;
+  Beltway.Increment.push_free inc ~addr:child ~words:size;
+  let addr = Beltway.Increment.fit_or_null inc mem ~size in
+  if addr <> child then
+    Error (Printf.sprintf "first-fit placed at %#x, not over the child at %#x" addr child)
+  else begin
+    Object_model.init mem addr ~tib:(Gc.tib_value gc ty) ~nfields:2;
+    Sanitizer.check_now san;
+    result_of san ~after:"an allocation into a hole overlapping a live object"
+  end
+
 let inject = function
   | Skipped_barrier -> skipped_barrier ()
   | Dropped_remset -> dropped_remset ()
@@ -241,3 +284,4 @@ let inject = function
   | Racy_forwarding -> racy_forwarding ()
   | Dropped_mark -> dropped_mark ()
   | Misthreaded_compact -> misthreaded_compact ()
+  | Overlapping_hole -> overlapping_hole ()

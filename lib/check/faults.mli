@@ -45,6 +45,11 @@ type fault =
           points one object past its child — caught by the shadow
           diff as a stale reference (the shadow tracked the real
           slide) *)
+  | Overlapping_hole
+      (** the mark-sweep free list's defect class: a stale or oversized
+          hole entry covers a live object and first-fit allocates over
+          it — caught by the shadow diff as a clobbered field (the new
+          object's null field replaced the live object's reference) *)
 
 val all : fault list
 val name : fault -> string

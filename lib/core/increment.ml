@@ -1,5 +1,16 @@
 module Vec = Beltway_util.Vec
 
+(* An increment's free list: see "Free-list reallocation" below. *)
+type free_list = {
+  pairs : int Vec.t; (* (address, words) per slot *)
+  mutable words : int; (* sum of the hole sizes *)
+  mutable tree : int array; (* max-tree over the slots' sizes *)
+  mutable stale : bool; (* pairs pushed since [tree] was built *)
+}
+
+let new_free_list () =
+  { pairs = Vec.create ~dummy:0 (); words = 0; tree = [||]; stale = true }
+
 type t = {
   id : int;
   mutable belt : int;
@@ -15,8 +26,7 @@ type t = {
   pinned : bool;
   mutable in_plan : bool;
   mutable gc_mark : bool;
-  free_list : int Vec.t;
-  mutable free_word_count : int;
+  free : free_list;
 }
 
 type pos = { mutable fi : int; mutable addr : Addr.t }
@@ -37,8 +47,7 @@ let create ~id ~belt ~stamp ~bound_frames =
     pinned = false;
     in_plan = false;
     gc_mark = false;
-    free_list = Vec.create ~dummy:0 ();
-    free_word_count = 0;
+    free = new_free_list ();
   }
 
 (* A pinned (large-object-space) increment: exactly one object of
@@ -61,8 +70,7 @@ let create_pinned ~id ~belt ~stamp ~frames:frame_list mem ~size =
       pinned = true;
       in_plan = false;
       gc_mark = false;
-      free_list = Vec.create ~dummy:0 ();
-      free_word_count = 0;
+      free = new_free_list ();
     }
   in
   let fw = Memory.frame_words mem in
@@ -144,76 +152,136 @@ let seal t = t.sealed <- true
    swept object run is a *filler object* in the heap — even header
    [(words - header_words) lsl 1], every payload word an odd immediate
    — so the object stream stays walkable, and the free list is just an
-   index over those fillers: flat (address, words) pairs. First-fit
-   with a remainder rule: a hole may be taken exactly, or split
-   leaving at least [header_words] words for the remainder filler
-   (1-word remainders cannot be represented, so such holes are
-   skipped for that size). *)
+   index over those fillers: flat (address, words) pairs, one pair per
+   slot. First-fit with a remainder rule: a hole may be taken exactly,
+   or split leaving at least [header_words] words for the remainder
+   filler (smaller remainders cannot be represented, so such holes are
+   skipped for that size).
+
+   First-fit is answered by a max-tree over the slots' sizes (the
+   exact-placement argument is in the interface): leaf [k] sits at
+   [cap + k], node [j] holds the larger of nodes [2j] and [2j + 1],
+   the root is node 1, and unused leaves hold 0, which admits no size.
+   A push only marks the tree stale, so the sweep pays nothing per
+   hole; the next query rebuilds it. *)
 
 let clear_free_list t =
-  Vec.clear t.free_list;
-  t.free_word_count <- 0
+  let h = t.free in
+  Vec.clear h.pairs;
+  h.words <- 0;
+  h.stale <- true
 
 let push_free t ~addr ~words =
-  Vec.push t.free_list addr;
-  Vec.push t.free_list words;
-  t.free_word_count <- t.free_word_count + words
+  let h = t.free in
+  Vec.push h.pairs addr;
+  Vec.push h.pairs words;
+  h.words <- h.words + words;
+  h.stale <- true
 
-let free_words t = t.free_word_count
+let free_words t = t.free.words
+
+let holes t =
+  let h = t.free in
+  List.init (Vec.length h.pairs / 2) (fun k ->
+      (Vec.get h.pairs (2 * k), Vec.get h.pairs ((2 * k) + 1)))
+
+let[@inline] imax (a : int) b = if a >= b then a else b
+
+let rebuild h =
+  let n = Vec.length h.pairs / 2 in
+  let cap = ref 1 in
+  while !cap < n do
+    cap := 2 * !cap
+  done;
+  let cap = !cap in
+  if Array.length h.tree <> 2 * cap then h.tree <- Array.make (2 * cap) 0
+  else Array.fill h.tree cap cap 0;
+  let tree = h.tree in
+  for k = 0 to n - 1 do
+    tree.(cap + k) <- Vec.get h.pairs ((2 * k) + 1)
+  done;
+  for j = cap - 1 downto 1 do
+    tree.(j) <- imax tree.(2 * j) tree.((2 * j) + 1)
+  done;
+  h.stale <- false
+
+let set_leaf h k words =
+  let tree = h.tree in
+  let j = ref ((Array.length tree / 2) + k) in
+  tree.(!j) <- words;
+  while !j > 1 do
+    j := !j / 2;
+    tree.(!j) <- imax tree.(2 * !j) tree.((2 * !j) + 1)
+  done
+
+let[@inline] admits words ~size =
+  words = size || words >= size + Object_model.header_words
+
+(* The first slot under node [j] whose hole admits [size], or -1:
+   left-first, skipping subtrees whose largest hole is under [size],
+   and backing out of one whose largest hole only has an
+   unrepresentable remainder when no exact fit hides under it. *)
+let rec first_fit tree ~cap j ~size =
+  let words = tree.(j) in
+  if words < size then -1
+  else if j >= cap then if admits words ~size then j - cap else -1
+  else
+    let k = first_fit tree ~cap (2 * j) ~size in
+    if k >= 0 then k else first_fit tree ~cap ((2 * j) + 1) ~size
 
 let fits_free t ~size =
-  let n = Vec.length t.free_list in
-  let i = ref 0 in
-  let found = ref false in
-  while (not !found) && !i < n do
-    let words = Vec.get t.free_list (!i + 1) in
-    if words = size || words >= size + Object_model.header_words then
-      found := true
-    else i := !i + 2
-  done;
-  !found
+  let h = t.free in
+  h.words >= size
+  && begin
+       if h.stale then rebuild h;
+       let root = h.tree.(1) in
+       admits root ~size
+       || (root > size && first_fit h.tree ~cap:(Array.length h.tree / 2) 1 ~size >= 0)
+     end
 
 let fit_or_null t mem ~size =
-  let n = Vec.length t.free_list in
-  let i = ref 0 in
-  let addr = ref Addr.null in
-  while !addr = Addr.null && !i < n do
-    let a = Vec.get t.free_list !i in
-    let words = Vec.get t.free_list (!i + 1) in
-    if words = size then begin
-      (* Exact fit: drop the pair (swap-remove keeps the vec dense). *)
-      let last = Vec.length t.free_list - 2 in
-      Vec.set t.free_list !i (Vec.get t.free_list last);
-      Vec.set t.free_list (!i + 1) (Vec.get t.free_list (last + 1));
-      Vec.truncate t.free_list last;
-      addr := a
+  let h = t.free in
+  if h.words < size then Addr.null
+  else begin
+    if h.stale then rebuild h;
+    let k = first_fit h.tree ~cap:(Array.length h.tree / 2) 1 ~size in
+    if k < 0 then Addr.null
+    else begin
+      let a = Vec.get h.pairs (2 * k) in
+      let words = Vec.get h.pairs ((2 * k) + 1) in
+      if words = size then begin
+        (* Exact fit: drop the pair (swap-remove keeps the vec dense). *)
+        let last = Vec.length h.pairs - 2 in
+        Vec.set h.pairs (2 * k) (Vec.get h.pairs last);
+        Vec.set h.pairs ((2 * k) + 1) (Vec.get h.pairs (last + 1));
+        Vec.truncate h.pairs last;
+        set_leaf h (last / 2) 0;
+        if 2 * k < last then set_leaf h k (Vec.get h.pairs ((2 * k) + 1))
+      end
+      else begin
+        (* Split: the remainder stays a filler object in place. *)
+        let rem = words - size in
+        Memory.set mem (a + size) ((rem - Object_model.header_words) lsl 1);
+        Memory.fill mem ~dst:(a + size + 1) ~len:(rem - 1) 1;
+        Vec.set h.pairs (2 * k) (a + size);
+        Vec.set h.pairs ((2 * k) + 1) rem;
+        set_leaf h k rem;
+        t.objects <- t.objects + 1
+      end;
+      h.words <- h.words - size;
+      (* The hole's words are odd immediates; the allocation contract
+         is zeroed (null-field) memory, like a fresh bump. *)
+      Memory.fill mem ~dst:a ~len:size 0;
+      a
     end
-    else if words >= size + Object_model.header_words then begin
-      (* Split: the remainder stays a filler object in place. *)
-      let rem = words - size in
-      Memory.set mem (a + size) ((rem - Object_model.header_words) lsl 1);
-      Memory.fill mem ~dst:(a + size + 1) ~len:(rem - 1) 1;
-      Vec.set t.free_list !i (a + size);
-      Vec.set t.free_list (!i + 1) rem;
-      t.objects <- t.objects + 1;
-      addr := a
-    end
-    else i := !i + 2
-  done;
-  if !addr <> Addr.null then begin
-    t.free_word_count <- t.free_word_count - size;
-    (* The hole's words are odd immediates; the allocation contract is
-       zeroed (null-field) memory, like a fresh bump. *)
-    Memory.fill mem ~dst:!addr ~len:size 0
-  end;
-  !addr
+  end
 
 (* Bump first (the common case, identical to the copying allocator),
    then fall back to the free list; [Addr.null] when neither fits. *)
 let alloc_or_null t mem ~size =
   let addr = bump_or_null t ~size in
   if addr <> Addr.null then addr
-  else if t.free_word_count >= size && not t.sealed then
+  else if t.free.words >= size && not t.sealed then
     fit_or_null t mem ~size
   else Addr.null
 

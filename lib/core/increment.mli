@@ -8,6 +8,11 @@
     used, which lets a Cheney scan walk the increment's objects without
     any per-frame object table. *)
 
+type free_list
+(** An increment's free list (see {!section-free}); reachable only
+    through this module's functions, so its holes, word count and index
+    cannot be desynchronised from outside. *)
+
 type t = {
   id : int;
   mutable belt : int; (* belt index; updated when BOF flips belts *)
@@ -30,10 +35,8 @@ type t = {
   mutable gc_mark : bool;
       (* transient per-collection mark (pinned increment reached, or
          queued for a card scan). Always false outside a collection. *)
-  free_list : int Beltway_util.Vec.t;
-      (* flat (address, words) pairs indexing the filler objects left
-         by a sweep; empty under the copying strategy *)
-  mutable free_word_count : int; (* sum of the free-list hole sizes *)
+  free : free_list;
+      (* the holes a sweep left; empty under the copying strategy *)
 }
 
 type pos
@@ -101,15 +104,32 @@ val seal : t -> unit
 (** Close to further allocation (nursery handoff for the time-to-die
     trigger; plan membership seals too). *)
 
-(** {2 Free-list reallocation}
+(** {2:free Free-list reallocation}
 
     The mark-sweep strategy turns each dead run into a *filler object*
     (even header, odd-immediate payload) so the object stream stays
-    walkable, and indexes the holes here as flat (address, words)
-    pairs. Allocation is first-fit with a remainder rule: a hole is
-    taken exactly or split leaving at least [Object_model.header_words]
-    words for the remainder filler. Copying increments never populate
-    the list, so these paths cost them nothing. *)
+    walkable, and records each hole as an (address, words) pair in a
+    numbered slot. Allocation is first-fit over the slots with a
+    remainder rule: a hole is taken exactly (its pair is swap-removed:
+    the last pair moves into its slot) or split in place, leaving at
+    least [Object_model.header_words] words for the remainder filler.
+
+    First-fit is answered by a max-tree over the slots' hole sizes, not
+    by a scan: leaf [k] holds slot [k]'s size and each node the larger
+    of its children. {!push_free} only marks the tree stale; the next
+    query rebuilds it in one pass, and a split or removal rewrites the
+    touched leaves' paths to the root. The answer is the slot a
+    front-to-back scan returns: the descent goes left-first and skips a
+    subtree only when it holds no fit. A subtree's largest hole decides
+    that in every case but one. Under [size] there is no fit; at
+    exactly [size] or at least [size + header_words] there is one.
+    Between the two (a hole whose remainder could not be represented)
+    the subtree may or may not hold a fit, so the descent enters it and
+    backs out if it finds none. That is the only non-monotone case.
+    The tree holds at most [2 * 2^ceil(log2 n)] ints for the [n] holes
+    present at its last rebuild (two for [n <= 1]). Copying increments
+    never populate the list and answer every query from the word count,
+    before touching the tree. *)
 
 val clear_free_list : t -> unit
 val push_free : t -> addr:Addr.t -> words:int -> unit
@@ -118,14 +138,17 @@ val free_words : t -> int
 (** Total words on the free list (an upper bound on what
     {!fit_or_null} can place). *)
 
+val holes : t -> (Addr.t * int) list
+(** The (address, words) pairs in slot order. *)
+
 val fits_free : t -> size:int -> bool
 (** Whether some hole admits a [size]-word object under the remainder
     rule — the schedule's must-this-allocation-trigger test. *)
 
 val fit_or_null : t -> Memory.t -> size:int -> Addr.t
-(** Take the first fitting hole: returns zeroed memory like a fresh
-    bump, writes the remainder filler when splitting, or [Addr.null]
-    when no hole fits. *)
+(** Take the first fitting hole in slot order: returns zeroed memory
+    like a fresh bump, writes the remainder filler when splitting, or
+    [Addr.null] when no hole fits. *)
 
 val alloc_or_null : t -> Memory.t -> size:int -> Addr.t
 (** {!bump_or_null}, falling back to {!fit_or_null} when the bump

@@ -7,6 +7,7 @@ let () =
       ("policy", Test_policy.suite);
       ("strategy", Test_strategy.suite);
       ("core", Test_core.suite);
+      ("free list", Test_free_list.suite);
       ("frame table", Test_frame_table.suite);
       ("schedule", Test_schedule.suite);
       ("gc", Test_gc.suite);

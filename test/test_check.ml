@@ -44,7 +44,8 @@ let test_fault_messages () =
   expect Faults.Undersized_reserve "frame accounting drift";
   expect Faults.Racy_forwarding "stale reference";
   expect Faults.Dropped_mark "clobbered";
-  expect Faults.Misthreaded_compact "stale reference"
+  expect Faults.Misthreaded_compact "stale reference";
+  expect Faults.Overlapping_hole "clobbered field"
 
 (* --- clean runs: no false positives ------------------------------- *)
 

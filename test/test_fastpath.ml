@@ -11,11 +11,16 @@ let checki = Alcotest.(check int)
 
 (* ---- golden statistics ---------------------------------------------- *)
 
-(* Recorded before [Gc.alloc] and [Gc.write] took their fast paths. The
-   copying rows run at 1.25x each mutator's minimum heap, the
-   mark-compact rows at 3x. The mark-sweep rows use the smallest of 3x,
-   4x or 16x at which the run stays well under a second: tighter, the
-   free-list fallback takes seconds per run. *)
+(* Frames are [Runner.frame_bytes] (4 KiB) frames; each mutator's
+   minimum heap is the one [perfbench] pins (jess 97, raytrace 87, db
+   131, javac 133, jack 55, pseudojbb 249 frames). The first three
+   blocks were recorded before [Gc.alloc] and [Gc.write] took their
+   fast paths: the copying rows at 2.5x the minimum heap, the
+   mark-compact rows at 6x, the first mark-sweep rows at the smallest
+   of 6x, 8x or 32x at which the linear free-list scan then finished
+   well under a second. The last block, recorded before the free list
+   was indexed, puts every mutator under mark-sweep at 3x, where holes
+   are many and small and first-fit does most of the allocating. *)
 type golden = {
   words : int;
   objects : int;
@@ -32,48 +37,66 @@ let g words objects ops fast slow filtered gcs copied =
 
 let golden =
   [
-    ("25.25.100", "jess", 121, g 3700097 523175 558956 0 635 558321 113 312456);
-    ("25.25.100", "raytrace", 109, g 1600082 198995 203089 0 0 203089 36 39877);
-    ("25.25.100", "db", 164, g 1300003 69089 74043 0 1621 72422 19 80052);
-    ("25.25.100", "javac", 166, g 3294645 362693 409049 0 30349 378700 104 571124);
-    ("25.25.100", "jack", 69, g 4000648 590083 620169 0 210 619959 197 451466);
-    ("25.25.100", "pseudojbb", 311, g 4137542 422825 691030 0 3164 687866 32 218040);
-    ("appel", "jess", 121, g 3700097 523175 558956 0 612 558344 128 319952);
-    ("appel", "raytrace", 109, g 1600082 198995 203089 0 0 203089 23 39469);
-    ("appel", "db", 164, g 1300003 69089 74043 0 1501 72542 13 78612);
-    ("appel", "javac", 166, g 3294645 362693 409049 0 28136 380913 87 448684);
-    ("appel", "jack", 69, g 4000648 590083 620169 0 290 619879 274 494548);
-    ("appel", "pseudojbb", 311, g 4137542 422825 691030 0 2995 688035 25 218988);
-    ("25.25.100+strategy:marksweep", "jess", 1552,
+    ("25.25.100", "jess", 242, g 3700097 523175 558956 0 635 558321 113 312456);
+    ("25.25.100", "raytrace", 218, g 1600082 198995 203089 0 0 203089 36 39877);
+    ("25.25.100", "db", 328, g 1300003 69089 74043 0 1621 72422 19 80052);
+    ("25.25.100", "javac", 332, g 3294645 362693 409049 0 30349 378700 104 571124);
+    ("25.25.100", "jack", 138, g 4000648 590083 620169 0 210 619959 197 451466);
+    ("25.25.100", "pseudojbb", 622, g 4137542 422825 691030 0 3164 687866 32 218040);
+    ("appel", "jess", 242, g 3700097 523175 558956 0 612 558344 128 319952);
+    ("appel", "raytrace", 218, g 1600082 198995 203089 0 0 203089 23 39469);
+    ("appel", "db", 328, g 1300003 69089 74043 0 1501 72542 13 78612);
+    ("appel", "javac", 332, g 3294645 362693 409049 0 28136 380913 87 448684);
+    ("appel", "jack", 138, g 4000648 590083 620169 0 290 619879 274 494548);
+    ("appel", "pseudojbb", 622, g 4137542 422825 691030 0 2995 688035 25 218988);
+    ("25.25.100+strategy:marksweep", "jess", 3104,
      g 3700097 523175 558956 38075 1192 519689 5 0);
-    ("25.25.100+strategy:marksweep", "raytrace", 261,
+    ("25.25.100+strategy:marksweep", "raytrace", 522,
      g 1600082 198995 203089 0 0 203089 15 0);
-    ("25.25.100+strategy:marksweep", "db", 393,
+    ("25.25.100+strategy:marksweep", "db", 786,
      g 1300003 69089 74043 10494 1504 62045 6 0);
-    ("25.25.100+strategy:marksweep", "javac", 2128,
+    ("25.25.100+strategy:marksweep", "javac", 4256,
      g 3294645 362693 409049 0 4524 404525 3 0);
-    ("25.25.100+strategy:marksweep", "jack", 220,
+    ("25.25.100+strategy:marksweep", "jack", 440,
      g 4000648 590083 620169 0 60 620109 44 0);
-    ("25.25.100+strategy:marksweep", "pseudojbb", 996,
+    ("25.25.100+strategy:marksweep", "pseudojbb", 1992,
      g 4137542 422825 691030 0 2842 688188 10 0);
-    ("25.25.100+strategy:markcompact", "jess", 291,
+    ("25.25.100+strategy:markcompact", "jess", 582,
      g 3700097 523175 558956 0 498 558458 31 0);
-    ("25.25.100+strategy:markcompact", "raytrace", 261,
+    ("25.25.100+strategy:markcompact", "raytrace", 522,
      g 1600082 198995 203089 0 0 203089 15 0);
-    ("25.25.100+strategy:markcompact", "db", 393,
+    ("25.25.100+strategy:markcompact", "db", 786,
      g 1300003 69089 74043 0 1504 72539 8 0);
-    ("25.25.100+strategy:markcompact", "javac", 399,
+    ("25.25.100+strategy:markcompact", "javac", 798,
      g 3294645 362693 409049 0 19843 389206 20 0);
-    ("25.25.100+strategy:markcompact", "jack", 165,
+    ("25.25.100+strategy:markcompact", "jack", 330,
      g 4000648 590083 620169 0 75 620094 59 0);
-    ("25.25.100+strategy:markcompact", "pseudojbb", 747,
+    ("25.25.100+strategy:markcompact", "pseudojbb", 1494,
      g 4137542 422825 691030 0 2931 688099 13 0);
   ]
 
-let test_golden (label, name, frames, want) () =
+let golden_marksweep_3x =
+  [
+    ("25.25.100+strategy:marksweep", "jess", 291,
+     g 3700097 523175 558956 489722 24341 44893 78 0);
+    ("25.25.100+strategy:marksweep", "raytrace", 261,
+     g 1600082 198995 203089 0 0 203089 30 0);
+    ("25.25.100+strategy:marksweep", "db", 393,
+     g 1300003 69089 74043 38355 995 34693 30 0);
+    ("25.25.100+strategy:marksweep", "jack", 165,
+     g 4000648 590083 620169 593982 6 26181 126 0);
+    ("25.25.100+strategy:marksweep", "pseudojbb", 747,
+     g 4137542 422825 691030 392269 2253 296508 146 0);
+  ]
+
+let run_golden label name frames =
   let config = Result.get_ok (Beltway.Config.parse label) in
-  let gc = Gc.create ~config ~heap_bytes:(frames * 8192) () in
-  (Option.get (Spec.by_name name)).Spec.run gc;
+  let gc =
+    Gc.create ~config ~heap_bytes:(frames * Beltway_sim.Runner.frame_bytes) ()
+  in
+  (gc, fun () -> (Option.get (Spec.by_name name)).Spec.run gc)
+
+let check_golden gc want =
   let s = Gc.stats gc in
   checki "words_allocated" want.words s.Gc_stats.words_allocated;
   checki "objects_allocated" want.objects s.Gc_stats.objects_allocated;
@@ -87,6 +110,23 @@ let test_golden (label, name, frames, want) () =
   checki "live increment count"
     (List.length (Beltway.State.live_increments st))
     (Beltway.State.total_increments st)
+
+let test_golden (label, name, frames, want) () =
+  let gc, run = run_golden label name frames in
+  run ();
+  check_golden gc want
+
+(* javac at 3x under mark-sweep: its free lists fragment until no hole
+   admits a 10-word object, however often the heap is swept — the
+   fragmentation outcome [experiments strategies] reproduces. *)
+let test_javac_fragments () =
+  let gc, run = run_golden "25.25.100+strategy:marksweep" "javac" 399 in
+  Alcotest.check_raises "out of memory"
+    (Gc.Out_of_memory
+       "no progress after 31 collections for a 10-word allocation (heap 399 \
+        frames, 399 used, reserve 0)")
+    run;
+  check_golden gc (g 2873897 316384 356824 302822 6439 47563 257 0)
 
 (* ---- error paths ---------------------------------------------------- *)
 
@@ -169,3 +209,9 @@ let suite =
       (fun ((label, name, _, _) as row) ->
         (Printf.sprintf "golden %s under %s" name label, `Slow, test_golden row))
       golden
+  @ List.map
+      (fun ((label, name, _, _) as row) ->
+        (Printf.sprintf "golden %s under %s at 3x" name label, `Slow, test_golden row))
+      golden_marksweep_3x
+  @ [ ("golden javac under 25.25.100+strategy:marksweep at 3x runs out of memory",
+       `Slow, test_javac_fragments) ]
