@@ -25,11 +25,12 @@
    (schema beltway-bench/6: {name, policy, strategy, ns_per_run} per
    micro-benchmark — keyed by the registry policy and reclamation
    strategy the fixture's configuration resolves to — {phase, seconds,
-   jobs, gc_domains} per harness phase, {name, engine, seconds,
-   ops_per_sec, allocs_per_sec, speedup_vs_ast} per interpreter row,
-   and a host header carrying Domain.recommended_domain_count so
-   scaling rows are interpretable on whatever box produced them) so
-   successive PRs leave a perf trajectory.
+   jobs, gc_domains} per harness phase (gc_domains is always 1),
+   {name, engine, seconds, ops_per_sec, allocs_per_sec,
+   speedup_vs_ast} per interpreter row, and a host header carrying
+   Domain.recommended_domain_count so timings are interpretable on
+   whatever box produced them) so successive changes leave a perf
+   trajectory.
 
    Run with: dune exec bench/main.exe
    (add --full for the paper's 33-point heap ladder; --micro-only /
@@ -306,83 +307,6 @@ let run_micro ~smoke () =
   print_newline ();
   results
 
-(* ---- parallel Cheney drain -------------------------------------- *)
-
-(* Wall-clock scaling of the work-stealing parallel collector: one
-   large live tree (binary, so the grey frontier branches and steals
-   find work), fully collected several times per domain count, timing
-   just the Cheney phase via the phase hooks. Each domain count is a
-   [phases] row in BENCH_results.json ({phase: "parallel-drain",
-   seconds, gc_domains}), so the perf trajectory tracks the speedup
-   curve across PRs. *)
-
-let drain_depth ~smoke = if smoke then 13 else 18
-let drain_collects ~smoke = if smoke then 2 else 5
-let drain_domain_counts ~smoke = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]
-
-let run_parallel_drain ~smoke ~jobs =
-  print_endline "== Parallel Cheney drain (work-stealing scaling) ==";
-  let depth = drain_depth ~smoke in
-  let collects = drain_collects ~smoke in
-  let rows =
-    List.map
-      (fun domains ->
-        let gc =
-          Gc.create ~gc_domains:domains ~config:(cfg_of "ss")
-            ~heap_bytes:(96 * 1024 * 1024) ()
-        in
-        let ty = Gc.register_type gc ~name:"bench.node" in
-        let roots = Gc.roots gc in
-        (* Build a perfect binary tree of 2^(depth+1)-1 nodes, rooting
-           subtrees on the shadow stack across allocations. *)
-        let rec build d =
-          if d = 0 then Value.of_addr (Gc.alloc gc ~ty ~nfields:2)
-          else begin
-            Roots.push roots (build (d - 1));
-            Roots.push roots (build (d - 1));
-            let a = Gc.alloc gc ~ty ~nfields:2 in
-            let r = Roots.pop roots in
-            let l = Roots.pop roots in
-            Gc.write gc a 0 l;
-            Gc.write gc a 1 r;
-            Value.of_addr a
-          end
-        in
-        ignore (Roots.new_global roots (build depth));
-        let cheney = ref 0.0 in
-        let t_enter = ref 0.0 in
-        let st = Gc.state gc in
-        let hooks =
-          {
-            Beltway.State.noop_hooks with
-            on_gc_phase =
-              (fun ~phase ~enter ->
-                if phase = Beltway.Gc_stats.Phase_cheney then
-                  if enter then t_enter := Unix.gettimeofday ()
-                  else cheney := !cheney +. (Unix.gettimeofday () -. !t_enter));
-          }
-        in
-        Beltway.State.add_hooks st hooks;
-        for _ = 1 to collects do
-          Gc.full_collect gc
-        done;
-        Beltway.State.remove_hooks st hooks;
-        Printf.printf "  %d domain(s): Cheney %.3fs over %d full collections\n%!"
-          domains !cheney collects;
-        ("parallel-drain", !cheney, jobs, domains))
-      (drain_domain_counts ~smoke)
-  in
-  (match rows with
-  | ("parallel-drain", base, _, 1) :: rest ->
-    List.iter
-      (fun (_, s, _, d) ->
-        if s > 0.0 then
-          Printf.printf "  speedup at %d domains: %.2fx\n%!" d (base /. s))
-      rest
-  | _ -> ());
-  print_newline ();
-  rows
-
 (* ---- interpreter throughput (AST walker vs bytecode VM) --------- *)
 
 (* How fast can Beltlang drive the heap? One row per bundled program
@@ -489,8 +413,8 @@ let write_results ~smoke ~micro ~interpreter ~phases ~profile =
             ] );
         ( "profile",
           match profile with None -> Json.Null | Some f -> Json.Str f );
-        (* Host facts that make scaling rows interpretable when the
-           file comes off a CI box: the parallel-drain speedups mean
+        (* Host facts that make timings interpretable when the file
+           comes off a CI box: the harness phases' --jobs scaling means
            nothing without knowing how many cores were there. *)
         ( "host",
           Json.Obj
@@ -533,13 +457,16 @@ let write_results ~smoke ~micro ~interpreter ~phases ~profile =
         ( "phases",
           Json.Arr
             (List.map
-               (fun (phase, seconds, jobs, gc_domains) ->
+               (fun (phase, seconds, jobs) ->
                  Json.Obj
                    [
                      ("phase", Json.Str phase);
                      ("seconds", Json.Num seconds);
                      ("jobs", Json.Num (float_of_int jobs));
-                     ("gc_domains", Json.Num (float_of_int gc_domains));
+                     (* Collections run on one domain; the column stays
+                        so v6 files keep one shape and diff against
+                        older ones under --baseline. *)
+                     ("gc_domains", Json.Num 1.0);
                    ])
                phases) );
       ]
@@ -1002,29 +929,16 @@ let () =
      | [] -> ()
    in
    find args);
-  (* --gc-domains N shards every collection the harness runs (figures
-     included): it sets the process-wide BELTWAY_GC_DOMAINS default,
-     which Gc.create consults whenever no explicit override is given.
-     The parallel-drain section below always sweeps its own counts. *)
-  (match find_value "--gc-domains" args with
-  | Some n -> (
-    match int_of_string_opt n with
-    | Some n when n >= 1 -> Unix.putenv "BELTWAY_GC_DOMAINS" (string_of_int n)
-    | _ ->
-      prerr_endline "error: --gc-domains expects a positive integer";
-      exit 2)
-  | None -> ());
   let full = List.mem "--full" args in
   let smoke = List.mem "--smoke" args in
   let micro_only = List.mem "--micro-only" args in
   let figures_only = List.mem "--figures-only" args in
   let jobs = Beltway_sim.Pool.default_jobs () in
-  let gc_domains = Option.value (Beltway.Gc.env_gc_domains ()) ~default:1 in
   let phases = ref [] in
   let timed phase f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
-    phases := !phases @ [ (phase, Unix.gettimeofday () -. t0, jobs, gc_domains) ];
+    phases := !phases @ [ (phase, Unix.gettimeofday () -. t0, jobs) ];
     r
   in
   let micro =
@@ -1034,8 +948,6 @@ let () =
     if figures_only then []
     else timed "interpreter" (fun () -> run_interpreter ~smoke ())
   in
-  if not figures_only then
-    phases := !phases @ run_parallel_drain ~smoke ~jobs;
   let profile = find_value "--profile" args in
   (match profile with
   | Some file -> timed "profile" (fun () -> run_profile file)

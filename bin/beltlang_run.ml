@@ -38,13 +38,7 @@ let dump_bytecode source =
       exit 0)
 
 let run config_str heap_kb source_file builtin list_programs show_stats
-    verify_heap sanitize lint_only trace metrics profile strategy gc_domains
-    vm_kind dump =
-  (match gc_domains with
-  | Some n when n < 1 ->
-    Printf.eprintf "error: --gc-domains must be >= 1 (got %d)\n" n;
-    exit 2
-  | _ -> ());
+    verify_heap sanitize lint_only trace metrics profile strategy vm_kind dump =
   if list_programs then begin
     List.iter
       (fun (p : Beltlang.Programs.t) ->
@@ -76,22 +70,10 @@ let run config_str heap_kb source_file builtin list_programs show_stats
       Printf.eprintf "error: %s\n" e;
       exit 2);
     (match Beltway.Strategy.resolve config with
+    | Ok _ -> ()
     | Error e ->
       Printf.eprintf "error: %s\n" e;
-      exit 2
-    | Ok strat -> (
-      let effective_domains =
-        match gc_domains with
-        | Some n -> n
-        | None -> Option.value (Beltway.Gc.env_gc_domains ()) ~default:1
-      in
-      match
-        Beltway.Strategy.check_domains strat ~gc_domains:effective_domains
-      with
-      | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        exit 2));
+      exit 2);
     let source =
       match (builtin, source_file) with
       | Some name, _ -> (
@@ -111,7 +93,7 @@ let run config_str heap_kb source_file builtin list_programs show_stats
     in
     if lint_only then lint source;
     if dump then dump_bytecode source;
-    let gc = Beltway.Gc.create ?gc_domains ~config ~heap_bytes:(heap_kb * 1024) () in
+    let gc = Beltway.Gc.create ~config ~heap_bytes:(heap_kb * 1024) () in
     let san = Beltway_check.Sanitizer.attach ~level:(sanitizer_level sanitize) gc in
     let trace_file =
       match trace with Some _ -> trace | None -> Beltway_obs.Recorder.env_file ()
@@ -297,14 +279,6 @@ let strategy_arg =
   in
   Arg.(value & opt (some string) None & info [ "strategy" ] ~docv:"NAME" ~doc)
 
-let gc_domains_arg =
-  let doc =
-    "Shard each collection across $(docv) domains (work-stealing parallel \
-     Cheney drain); 1 = sequential collector. Overrides \
-     $(b,BELTWAY_GC_DOMAINS)."
-  in
-  Arg.(value & opt (some int) None & info [ "gc-domains" ] ~docv:"N" ~doc)
-
 let cmd =
   let doc = "run a Beltlang program on a Beltway-collected heap" in
   Cmd.v
@@ -312,7 +286,6 @@ let cmd =
     Term.(
       const run $ config_arg $ heap_arg $ file_arg $ builtin_arg $ list_arg
       $ stats_arg $ verify_arg $ sanitize_arg $ lint_arg $ trace_arg
-      $ metrics_arg $ profile_arg $ strategy_arg $ gc_domains_arg $ vm_arg
-      $ dump_arg)
+      $ metrics_arg $ profile_arg $ strategy_arg $ vm_arg $ dump_arg)
 
 let () = Cmd.eval cmd |> exit

@@ -37,12 +37,7 @@ let list_strategies () =
   exit 0
 
 let run config_str bench_name heap_kb verify_heap quiet dump sanitize trace
-    metrics profile policy strategy gc_domains =
-  (match gc_domains with
-  | Some n when n < 1 ->
-    Printf.eprintf "error: --gc-domains must be >= 1 (got %d)\n" n;
-    exit 2
-  | _ -> ());
+    metrics profile policy strategy =
   if policy = Some "list" then list_policies ();
   if strategy = Some "list" then list_strategies ();
   let config_str =
@@ -60,31 +55,18 @@ let run config_str bench_name heap_kb verify_heap quiet dump sanitize trace
     Printf.eprintf "error: %s\n" e;
     exit 2
   | Ok config -> (
-    (* Resolve early so an unknown +policy:NAME / +strategy:NAME (or a
-       non-parallel strategy asked to shard over domains) is a clean
-       CLI error, not an Invalid_argument out of Gc.create. *)
+    (* Resolve early so an unknown +policy:NAME / +strategy:NAME is a
+       clean CLI error, not an Invalid_argument out of Gc.create. *)
     (match Beltway.Policy.resolve config with
     | Ok _ -> ()
     | Error e ->
       Printf.eprintf "error: %s\n" e;
       exit 2);
     (match Beltway.Strategy.resolve config with
+    | Ok _ -> ()
     | Error e ->
       Printf.eprintf "error: %s\n" e;
-      exit 2
-    | Ok strat -> (
-      let effective_domains =
-        match gc_domains with
-        | Some n -> n
-        | None -> Option.value (Beltway.Gc.env_gc_domains ()) ~default:1
-      in
-      match
-        Beltway.Strategy.check_domains strat ~gc_domains:effective_domains
-      with
-      | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "error: %s\n" e;
-        exit 2));
+      exit 2);
     match Beltway_workload.Spec.by_name bench_name with
     | None ->
       Printf.eprintf "error: unknown benchmark %S (have: %s)\n" bench_name
@@ -94,7 +76,7 @@ let run config_str bench_name heap_kb verify_heap quiet dump sanitize trace
     | Some bench ->
       let gc =
         Beltway.Gc.create ~frame_log_words:Beltway_sim.Runner.frame_log_words
-          ?gc_domains ~config ~heap_bytes:(heap_kb * 1024) ()
+          ~config ~heap_bytes:(heap_kb * 1024) ()
       in
       let san = Beltway_check.Sanitizer.attach ~level:(sanitizer_level sanitize) gc in
       let trace_file =
@@ -289,14 +271,6 @@ let strategy_arg =
   in
   Arg.(value & opt (some string) None & info [ "strategy" ] ~docv:"NAME" ~doc)
 
-let gc_domains_arg =
-  let doc =
-    "Shard each collection across $(docv) domains (work-stealing parallel \
-     Cheney drain); 1 = sequential collector. Overrides \
-     $(b,BELTWAY_GC_DOMAINS)."
-  in
-  Arg.(value & opt (some int) None & info [ "gc-domains" ] ~docv:"N" ~doc)
-
 let cmd =
   let doc = "run a synthetic benchmark under a Beltway collector configuration" in
   Cmd.v
@@ -304,6 +278,6 @@ let cmd =
     Term.(
       const run $ config_arg $ bench_arg $ heap_arg $ verify_arg $ quiet_arg
       $ dump_arg $ sanitize_arg $ trace_arg $ metrics_arg $ profile_arg
-      $ policy_arg $ strategy_arg $ gc_domains_arg)
+      $ policy_arg $ strategy_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -129,16 +129,15 @@ let undersized_reserve () =
   Sanitizer.check_now san;
   result_of san ~after:"understating the frame budget in use"
 
-(* The parallel drain's defect class: a non-atomic forwarding install.
-   Two domains race to evacuate the same object; with a plain store
-   instead of a CAS on the header word, both copies survive the race
-   and the slots forwarded through the loser's view keep the loser's
-   duplicate. Deterministic end-state emulation: carve a private
-   destination (as the losing domain's reserve chunk would be), blit a
-   duplicate of a live child there, and switch a parent slot onto the
-   duplicate behind the hooks' back — the observable damage of the
-   lost install. The shadow still holds the canonical address, so the
-   diff must flag the slot. *)
+(* A lost forwarding install: the collector copies a live object but
+   the forwarding pointer never lands in the old header (a missed
+   store in the Cheney copy, or two evacuations of one object racing),
+   so a later visit copies it again and a slot forwarded through that
+   second copy keeps a duplicate. Deterministic end-state emulation:
+   carve a fresh destination, blit a duplicate of a live child there,
+   and switch a parent slot onto the duplicate behind the hooks' back —
+   the observable damage of the lost install. The shadow still holds
+   the canonical address, so the diff must flag the slot. *)
 let racy_forwarding () =
   let gc, san, ty = setup ~level:Sanitizer.Shadow () in
   let roots = Gc.roots gc in
@@ -146,7 +145,7 @@ let racy_forwarding () =
   let gp = Roots.new_global roots (Value.of_addr parent) in
   let child = Gc.alloc gc ~ty ~nfields:2 in
   Gc.write gc (Value.to_addr (Roots.get_global roots gp)) 0 (Value.of_addr child);
-  (* Settle both into a post-collection heap, as the race would. *)
+  (* Settle both into a post-collection heap, as the copy would. *)
   Gc.full_collect gc;
   let* () = precheck san in
   let st = Gc.state gc in
@@ -160,7 +159,7 @@ let racy_forwarding () =
   Memory.blit mem ~src:child ~dst:dup ~len:size;
   Memory.set mem (Object_model.field_addr parent 0) (Value.of_addr dup);
   Sanitizer.check_now san;
-  result_of san ~after:"a duplicate copy installed by a lost forwarding race"
+  result_of san ~after:"a duplicate copy left by a lost forwarding install"
 
 (* The mark-sweep strategy's defect class: the tracer drops a mark bit
    on a reachable object, so the sweep coalesces it into a free-list

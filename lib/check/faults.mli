@@ -27,11 +27,11 @@ type fault =
           use, the precursor to reserve exhaustion (paper §3.3.4) —
           caught by [Verify]'s accounting check at level [Paranoid] *)
   | Racy_forwarding
-      (** the parallel drain's defect class: a forwarding install that
-          used a plain store instead of a CAS, so two domains racing
-          to evacuate one object both keep their copies and a slot
-          ends up on the losing duplicate — caught by the shadow diff
-          as a stale reference (the shadow holds the winner) *)
+      (** a lost forwarding install: the copying collector evacuates an
+          object but the forwarding pointer never lands (a missed store,
+          or two evacuations racing), so the object is copied twice and
+          a slot ends up on the duplicate — caught by the shadow diff as
+          a stale reference (the shadow holds the first copy) *)
   | Dropped_mark
       (** the mark-sweep strategy's defect class: the tracer drops a
           mark bit on a reachable object and the sweep turns it into a

@@ -19,9 +19,57 @@ let evacuation_frames p =
       if i.Increment.pinned then acc else acc + Increment.occupancy_frames i)
     0 p.increments
 
-type dest = { inc : Increment.t; pos : Increment.pos }
+(* The per-collection counts, one record for every kernel; a count a
+   kernel has no use for stays 0 in the logged collection. *)
+type counters = {
+  mutable copied_words : int;
+  mutable copied_objects : int;
+  mutable scanned_slots : int;
+  mutable remset_slots : int;
+  mutable marked_objects : int;
+  mutable marked_words : int;
+  mutable swept_words : int;
+  mutable moved_words : int;
+  mutable freed_frames : int;
+}
 
-(* The hot path below is deliberately allocation-free per object and
+(* A tracing kernel: what one reclamation strategy does at each step of
+   the collection the driver ([collect] below) walks. The driver
+   enumerates the roots, the remembered slots and the dirty cards and
+   hands each to the kernel; the per-object and per-slot loops of the
+   drain and the reclaim stay inside the kernel's own closures, so the
+   hot loops make no indirect call. *)
+type kernel = {
+  root : Value.t -> Value.t;  (** one root slot's value; the result is stored back *)
+  remembered : slot:Addr.t -> Value.t -> unit;
+      (** a remembered slot targeting the plan, holding this reference *)
+  card_object : Addr.t -> unit;  (** one object of a dirty increment *)
+  drain_phase : Gc_stats.gc_phase;
+  drain : unit -> unit;  (** trace until no grey work remains *)
+  reclaim_phase : Gc_stats.gc_phase;
+  reclaim : unit -> unit;  (** free or rebuild every plan increment *)
+}
+
+(* Keep a plan increment that holds survivors in place, clearing its
+   transient plan and mark state, or release it whole. Every kernel
+   settles each plan increment through here exactly once. *)
+let settle st c (inc : Increment.t) ~keep =
+  if keep then begin
+    inc.Increment.gc_mark <- false;
+    inc.Increment.in_plan <- false;
+    Vec.iter
+      (fun f -> Frame_table.set_in_plan st.State.ftab ~frame:f false)
+      inc.Increment.frames
+  end
+  else begin
+    c.freed_frames <- c.freed_frames + Increment.occupancy_frames inc;
+    State.free_increment st inc
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Evacuation: the Cheney copy.
+
+   The hot path below is deliberately allocation-free per object and
    per slot: plan membership, pinnedness and the owning increment id
    come from one packed frame-table word ([Frame_table.meta]), the
    id -> increment step is an array read, forwarding pointers are
@@ -29,39 +77,12 @@ type dest = { inc : Increment.t; pos : Increment.pos }
    are walked with a direct [for] loop over the object's field range
    instead of a per-slot closure. Only per-collection setup (the plan
    walk, destination registration) allocates. *)
-let collect_seq st plan =
+type dest = { inc : Increment.t; pos : Increment.pos }
+
+let evacuate st plan c =
   let mem = st.State.mem in
   let ftab = st.State.ftab in
   let frame_log = Memory.frame_log mem in
-  st.State.in_gc <- true;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    List.iter
-      (fun h ->
-        h.State.on_collect_start ~reason:plan.reason ~emergency:plan.emergency)
-      hs);
-  (* Phase spans for the flight recorder: free when no hooks are
-     installed (one list match per phase boundary per collection). *)
-  let phase p enter =
-    match st.State.hooks with
-    | [] -> ()
-    | hs -> List.iter (fun h -> h.State.on_gc_phase ~phase:p ~enter) hs
-  in
-  let copied_words = ref 0 in
-  let copied_objects = ref 0 in
-  let scanned_slots = ref 0 in
-  let remset_slots = ref 0 in
-  let roots_scanned = ref 0 in
-
-  (* Plan membership: an in-plan bit on each member frame's packed
-     metadata word, plus a flag on the increment itself. *)
-  List.iter
-    (fun (inc : Increment.t) ->
-      inc.Increment.in_plan <- true;
-      Increment.seal inc;
-      Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f true) inc.Increment.frames)
-    plan.increments;
 
   (* Destination (open) increments, one per destination belt, created
      lazily and replaced when they hit their bound. [dests] also serves
@@ -78,11 +99,9 @@ let collect_seq st plan =
   in
   let dest_for belt =
     match belt_dest.(belt) with
-    | Some d when (not d.inc.Increment.sealed) && not (Increment.at_bound d.inc) -> d
-    | Some d when not d.inc.Increment.sealed ->
-      (* At bound but current frame may still have room; keep using it
-         until a bump actually fails. *)
-      d
+    (* At its bound, the current frame may still have room: keep using
+       it until a bump actually fails. *)
+    | Some d when not d.inc.Increment.sealed -> d
     | _ -> register_dest belt
   in
 
@@ -124,8 +143,8 @@ let collect_seq st plan =
     Memory.unsafe_blit mem ~src:addr ~dst:new_addr ~len:size;
     (* Forwarding pointer: odd status word, as decoded in [forward]. *)
     Memory.unsafe_set mem addr ((new_addr lsl 1) lor 1);
-    copied_words := !copied_words + size;
-    incr copied_objects;
+    c.copied_words <- c.copied_words + size;
+    c.copied_objects <- c.copied_objects + 1;
     (match st.State.hooks with
     | [] -> ()
     | hs -> List.iter (fun h -> h.State.on_move ~src:addr ~dst:new_addr) hs);
@@ -165,20 +184,11 @@ let collect_seq st plan =
     end
   in
 
-  (* Roots. *)
-  phase Gc_stats.Phase_roots true;
-  Roots.iter_update st.State.roots (fun v ->
-      incr roots_scanned;
-      forward v);
-  phase Gc_stats.Phase_roots false;
-
   (* Record that a surviving slot still holds an interesting pointer,
      in whichever bookkeeping the policy's barrier discipline uses. The
      predicate is the write barrier's, inlined over the already-flat
      stamp table. *)
   let use_cards = st.State.policy.State.barrier = State.Barrier_cards in
-  let remsets = st.State.remsets in
-  let cards = st.State.cards in
   let re_remember ~slot ~src ~tgt =
     Write_barrier.re_remember st ~use_cards ~slot ~src_frame:src ~tgt_frame:tgt
   in
@@ -196,7 +206,7 @@ let collect_seq st plan =
     for slot = obj + 1 to obj + 1 + n do
       let v = Memory.unsafe_get mem slot in
       if Value.is_ref v then begin
-        incr scanned_slots;
+        c.scanned_slots <- c.scanned_slots + 1;
         let v' = forward v in
         if v' <> v then Memory.unsafe_set mem slot v';
         re_remember ~slot ~src:(slot lsr frame_log)
@@ -204,788 +214,81 @@ let collect_seq st plan =
       end
     done
   in
-  (* Same walk for dirty-frame (card) scanning, which counts against
-     the remembered-slot statistic instead. *)
-  let card_scan_object obj =
-    let n = Memory.unsafe_get mem obj lsr 1 in
-    for slot = obj + 1 to obj + 1 + n do
-      let v = Memory.unsafe_get mem slot in
-      if Value.is_ref v then begin
-        incr remset_slots;
-        let v' = forward v in
-        if v' <> v then Memory.unsafe_set mem slot v';
-        re_remember ~slot ~src:(slot lsr frame_log)
-          ~tgt:(Value.to_addr v' lsr frame_log)
-      end
-    done
+  (* Dirty-frame (card) scanning is the same walk, counted against the
+     remembered-slot statistic instead. *)
+  let card_object obj =
+    let scanned = c.scanned_slots in
+    scan_object obj;
+    c.remset_slots <- c.remset_slots + (c.scanned_slots - scanned);
+    c.scanned_slots <- scanned
   in
-
-  (match st.State.policy.State.barrier with
-  | State.Barrier_remsets _ ->
-    phase Gc_stats.Phase_remset true;
-    (* Remembered slots targeting the plan from outside it. Snapshot
-       first (into scratch reused across collections): forwarding
-       inserts new remset entries and the table must not be mutated
-       mid-iteration. *)
-    let pending_slots = st.State.gc_slots in
-    Vec.clear pending_slots;
-    Remset.iter_into remsets
-      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
-      (fun ~slot -> Vec.push pending_slots slot);
-    for k = 0 to Vec.length pending_slots - 1 do
-      let slot = Vec.get pending_slots k in
-      incr remset_slots;
-      let v = Memory.get mem slot in
-      if Value.is_ref v then begin
-        let v' = forward v in
-        if v' <> v then begin
-          Memory.set mem slot v';
-          (* The slot now refers into a destination frame; re-apply
-             the barrier predicate under the new stamps. *)
-          re_remember ~slot ~src:(slot lsr frame_log)
-            ~tgt:(Value.to_addr v' lsr frame_log)
-        end
-      end
-    done;
-    Vec.clear pending_slots;
-    phase Gc_stats.Phase_remset false
-  | State.Barrier_cards ->
-    phase Gc_stats.Phase_cards true;
-    (* Card scanning: every dirty frame outside the plan may hold
-       pointers into it. Scan the owning increments object by object —
-       the scan-cost side of the cards-vs-remsets trade-off (paper S5).
-       Cards are cleared first and re-marked for slots that still hold
-       interesting pointers afterwards. *)
-    let incs_to_scan = Hashtbl.create 16 in
-    Card_table.iter_dirty cards (fun frame ->
-        if not (Frame_table.in_plan ftab frame) then begin
-          Card_table.clear cards ~frame;
-          match State.inc_of_frame st frame with
-          | Some inc -> Hashtbl.replace incs_to_scan inc.Increment.id inc
-          | None -> ()
-        end);
-    Hashtbl.iter
-      (fun _ (inc : Increment.t) -> Increment.iter_objects inc mem card_scan_object)
-      incs_to_scan;
-    phase Gc_stats.Phase_cards false);
+  let remembered ~slot v =
+    let v' = forward v in
+    if v' <> v then begin
+      Memory.set mem slot v';
+      (* The slot now refers into a destination frame; re-apply the
+         barrier predicate under the new stamps. *)
+      re_remember ~slot ~src:(slot lsr frame_log)
+        ~tgt:(Value.to_addr v' lsr frame_log)
+    end
+  in
 
   (* Cheney drain: scan every destination's copied objects and every
      marked pinned object; scanning may copy or mark more, so iterate
      until no grey work remains. *)
-  phase Gc_stats.Phase_cheney true;
-  let progress = ref true in
-  let pinned_scanned = ref 0 in
-  while !progress do
-    progress := false;
-    (* [dests] may grow during the loop; index-based iteration picks up
-       new destinations in the same pass. *)
-    let i = ref 0 in
-    while !i < Vec.length dests do
-      let d = Option.get (Vec.get dests !i) in
-      let obj = ref (Increment.scan_next d.inc mem d.pos) in
-      while !obj <> Addr.null do
-        progress := true;
-        scan_object !obj;
-        obj := Increment.scan_next d.inc mem d.pos
+  let drain () =
+    let progress = ref true in
+    let pinned_scanned = ref 0 in
+    while !progress do
+      progress := false;
+      (* [dests] may grow during the loop; index-based iteration picks
+         up new destinations in the same pass. *)
+      let i = ref 0 in
+      while !i < Vec.length dests do
+        let d = Option.get (Vec.get dests !i) in
+        let obj = ref (Increment.scan_next d.inc mem d.pos) in
+        while !obj <> Addr.null do
+          progress := true;
+          scan_object !obj;
+          obj := Increment.scan_next d.inc mem d.pos
+        done;
+        incr i
       done;
-      incr i
-    done;
-    while !pinned_scanned < Vec.length pinned_work do
-      progress := true;
-      let inc = Vec.get pinned_work !pinned_scanned in
-      incr pinned_scanned;
-      scan_object (Increment.base_object inc mem)
+      while !pinned_scanned < Vec.length pinned_work do
+        progress := true;
+        let inc = Vec.get pinned_work !pinned_scanned in
+        incr pinned_scanned;
+        scan_object (Increment.base_object inc mem)
+      done
     done
-  done;
-  phase Gc_stats.Phase_cheney false;
+  in
 
   (* Release the evacuated increments; marked pinned increments stay in
-     place (that is the point of the large object space), with their
-     transient plan/mark state cleared. *)
-  phase Gc_stats.Phase_free true;
-  let pf = plan_frames plan in
-  let pw = plan_words plan in
-  let pi = List.length plan.increments in
-  let freed_frames = ref 0 in
-  List.iter
-    (fun (inc : Increment.t) ->
-      if inc.Increment.pinned && inc.Increment.gc_mark then begin
-        inc.Increment.gc_mark <- false;
-        inc.Increment.in_plan <- false;
-        Vec.iter
-          (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-          inc.Increment.frames
-      end
-      else begin
-        freed_frames := !freed_frames + Increment.occupancy_frames inc;
-        State.free_increment st inc
-      end)
-    plan.increments;
-  let freed_frames = !freed_frames in
-  Vec.clear pinned_work;
-  phase Gc_stats.Phase_free false;
-
-  st.State.in_gc <- false;
-  if plan.full_heap then st.State.live_est_frames <- st.State.frames_used;
-  let record : Gc_stats.collection =
-    {
-      Gc_stats.n = Gc_stats.gcs st.State.stats;
-      reason = plan.reason;
-      emergency = plan.emergency;
-      clock_words = st.State.stats.Gc_stats.words_allocated;
-      plan_incs = pi;
-      plan_frames = pf;
-      plan_words = pw;
-      full_heap = plan.full_heap;
-      copied_words = !copied_words;
-      copied_objects = !copied_objects;
-      scanned_slots = !scanned_slots;
-      remset_slots = !remset_slots;
-      roots_scanned = !roots_scanned;
-      marked_objects = 0;
-      marked_words = 0;
-      swept_words = 0;
-      moved_words = 0;
-      freed_frames;
-      heap_frames_after = st.State.frames_used;
-      reserve_frames = Copy_reserve.frames st;
-    }
-  in
-  Gc_stats.record_collection st.State.stats record;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
+     place (that is the point of the large object space). *)
+  let reclaim () =
     List.iter
-      (fun h ->
-        (* Reserve sampled once per collection, after the plan's frames
-           are back: the recorder's reserve-pressure time series. *)
-        h.State.on_reserve ~frames:record.Gc_stats.reserve_frames;
-        h.State.on_collect_end ~full_heap:plan.full_heap)
-      hs);
-  record
+      (fun (inc : Increment.t) ->
+        settle st c inc ~keep:(inc.Increment.pinned && inc.Increment.gc_mark))
+      plan.increments;
+    Vec.clear pinned_work
+  in
+  {
+    root = forward;
+    remembered;
+    card_object;
+    drain_phase = Gc_stats.Phase_cheney;
+    drain;
+    reclaim_phase = Gc_stats.Phase_free;
+    reclaim;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* The parallel drain: the same collection sharded over N domains.
+(* Marking in place: bitmap mark-sweep and threaded (Jonkers)
+   mark-compact. [compact] selects whether the reclaim rebuilds free
+   lists in place or slides survivors to the front of their own
+   increments.
 
-   Protocol (see DESIGN.md "Parallel collection"):
-   - each domain greys objects onto a private stack (the hot path,
-     fence-free) and offloads surplus in batches onto its Chase–Lev
-     deque, which is what other domains steal from; it also owns a
-     private open destination increment per belt, so the copy loop's
-     bump allocation never contends on a shared cursor;
-   - forwarding pointers are installed with a CAS on the header word;
-     the loser of a race discards its speculative copy (rolling its
-     private bump back) and adopts the winner's address;
-   - shared-structure mutation (opening increments, granting frames,
-     and the hooks those fire) is serialised by [st.gc_lock];
-   - remset/card re-records and on_move hook firings are buffered per
-     domain and replayed on the submitting domain after the drain —
-     none of that machinery is thread-safe;
-   - termination: a shared in-flight counter, +1 per grey push and -1
-     per scanned object, batched through a per-domain delta that is
-     flushed at steal boundaries. A domain whose own work runs dry
-     steals from the others; after a failed round it parks on a
-     condition variable (spinning would starve the working domains on
-     an oversubscribed machine) until surplus is published, the
-     counter reaches zero, or a sibling aborts. *)
-
-module Deque = Beltway_util.Deque
-module Team = Beltway_util.Team
-
-(* The lazily created team shared by every heap in the process (one
-   collection runs at a time per heap; concurrent collections of
-   *different* heaps just share the queue). Grown when a heap asks for
-   more domains than the current team has. *)
-let gc_team : Team.t option ref = ref None
-let exit_hook_installed = ref false
-
-let team_for domains =
-  match !gc_team with
-  | Some t when Team.size t >= domains -> t
-  | prev ->
-    (match prev with Some t -> Team.shutdown t | None -> ());
-    let t = Team.create ~size:domains in
-    gc_team := Some t;
-    if not !exit_hook_installed then begin
-      exit_hook_installed := true;
-      at_exit (fun () ->
-          match !gc_team with Some t -> Team.shutdown t | None -> ())
-    end;
-    t
-
-let collect_par st plan =
-  let mem = st.State.mem in
-  let ftab = st.State.ftab in
-  let frame_log = Memory.frame_log mem in
-  let ndomains = st.State.gc_domains in
-  let team = team_for ndomains in
-  st.State.in_gc <- true;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    List.iter
-      (fun h ->
-        h.State.on_collect_start ~reason:plan.reason ~emergency:plan.emergency)
-      hs);
-  let phase p enter =
-    match st.State.hooks with
-    | [] -> ()
-    | hs -> List.iter (fun h -> h.State.on_gc_phase ~phase:p ~enter) hs
-  in
-  let record_moves = st.State.hooks <> [] in
-  let clock = st.State.clock_us in
-  let use_cards = st.State.policy.State.barrier = State.Barrier_cards in
-
-  (* Plan membership, exactly as in the sequential path. *)
-  List.iter
-    (fun (inc : Increment.t) ->
-      inc.Increment.in_plan <- true;
-      Increment.seal inc;
-      Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f true) inc.Increment.frames)
-    plan.increments;
-
-  (* Worker domains read the flat backing, the liveness bitmap, the
-     frame table and the id->increment mirror without synchronisation;
-     none of those arrays may be swapped for a grown copy mid-drain.
-     Pre-grow each to cover every frame the drain could possibly
-     allocate (the whole remaining budget). *)
-  let headroom = max 0 (st.State.heap_frames - st.State.frames_used) in
-  Memory.reserve_fresh mem ~frames:headroom;
-  Frame_table.ensure ftab (Memory.fresh_frames mem + headroom);
-  let max_new_incs =
-    (* Upper bound on increments opened during the drain: every belt
-       of every domain can roll over at most once per granted frame. *)
-    st.State.next_inc_id + headroom + (ndomains * Array.length st.State.belts) + 1
-  in
-  State.reserve_inc_ids st max_new_incs;
-
-  let ctxs = State.par_domains st ndomains in
-  Array.iter
-    (fun (c : State.par_domain) ->
-      Vec.clear c.State.pd_stack;
-      c.State.pd_delta <- 0;
-      Array.fill c.State.pd_dests 0 (Array.length c.State.pd_dests) None;
-      c.State.pd_opened <- [];
-      Vec.clear c.State.pd_remember;
-      Vec.clear c.State.pd_moves;
-      c.State.pd_copied_words <- 0;
-      c.State.pd_copied_objects <- 0;
-      c.State.pd_scanned_slots <- 0;
-      c.State.pd_remset_slots <- 0;
-      c.State.pd_roots_scanned <- 0;
-      c.State.pd_steals <- 0;
-      c.State.pd_cas_retries <- 0;
-      Array.fill c.State.pd_phase_start 0 3 0.;
-      Array.fill c.State.pd_phase_dur 0 3 0.)
-    ctxs;
-
-  let pending = Atomic.make 0 in
-  let failure : exn option Atomic.t = Atomic.make None in
-  let aborted () = Atomic.get failure <> None in
-  let check_failure () =
-    match Atomic.get failure with Some e -> raise e | None -> ()
-  in
-  let pin_lock = Mutex.create () in
-
-  (* Idle parking. A thief whose steal round finds nothing sleeps on
-     [idle_cv] instead of spinning: on an oversubscribed machine a
-     spinning thief consumes the timeslice of the one domain holding
-     work, inverting the speedup. Wakers broadcast under [idle_m], and
-     a sleeper re-checks its predicate under the same mutex before
-     waiting, so a wakeup can never be missed. *)
-  let idle_m = Mutex.create () in
-  let idle_cv = Condition.create () in
-  let sleepers = Atomic.make 0 in
-  let wake_all () =
-    Mutex.lock idle_m;
-    Condition.broadcast idle_cv;
-    Mutex.unlock idle_m
-  in
-
-  (* The in-flight counter is kept approximately: each domain batches
-     its +1-per-push / -1-per-scan into a private [pd_delta] and folds
-     it in with one fetch-and-add at steal boundaries (and every
-     [flush_bound] pushes, so idle thieves are not stranded by a stale
-     zero). Exactness only matters at quiescence: a domain reaches the
-     exit check with its own stack and deque empty and its delta
-     flushed, so when every domain has exited no unscanned object can
-     remain, and the final flush-to-zero wakes any parked sleeper. *)
-  let flush (ctx : State.par_domain) =
-    let d = ctx.State.pd_delta in
-    if d <> 0 then begin
-      ctx.State.pd_delta <- 0;
-      let now = Atomic.fetch_and_add pending d + d in
-      if now = 0 && Atomic.get sleepers > 0 then wake_all ()
-    end
-  in
-  (* Grey publication: the hot path pushes to the domain-private stack
-     (no fences); surplus is offloaded to the Chase–Lev deque in
-     batches from the drain loop. *)
-  let grey_push (ctx : State.par_domain) obj =
-    ctx.State.pd_delta <- ctx.State.pd_delta + 1;
-    Vec.push ctx.State.pd_stack obj
-  in
-
-  (* Private destination allocation: bump without synchronisation;
-     open increments and grant frames under the state lock. *)
-  let rec dest_alloc (ctx : State.par_domain) belt size =
-    match ctx.State.pd_dests.(belt) with
-    | Some d ->
-      let addr = Increment.bump_or_null d ~size in
-      if addr <> Addr.null then addr
-      else if Increment.at_bound d then begin
-        Increment.seal d;
-        ctx.State.pd_dests.(belt) <- None;
-        dest_alloc ctx belt size
-      end
-      else begin
-        Mutex.lock st.State.gc_lock;
-        (try State.grant_frame st d ~during_gc:true
-         with e ->
-           Mutex.unlock st.State.gc_lock;
-           raise e);
-        Mutex.unlock st.State.gc_lock;
-        dest_alloc ctx belt size
-      end
-    | None ->
-      Mutex.lock st.State.gc_lock;
-      let inc =
-        try State.new_increment st ~belt
-        with e ->
-          Mutex.unlock st.State.gc_lock;
-          raise e
-      in
-      Mutex.unlock st.State.gc_lock;
-      ctx.State.pd_dests.(belt) <- Some inc;
-      ctx.State.pd_opened <- inc :: ctx.State.pd_opened;
-      dest_alloc ctx belt size
-  in
-
-  (* Evacuate one object speculatively, then race to install the
-     forwarding pointer. [header] is the even header word the caller
-     loaded; a CAS that finds anything else lost to another domain,
-     whose odd header decodes to the authoritative new address. *)
-  let copy ctx (src_inc : Increment.t) addr header size =
-    let belt = State.dest_belt st src_inc.Increment.belt in
-    let new_addr = dest_alloc ctx belt size in
-    Memory.unsafe_blit mem ~src:addr ~dst:new_addr ~len:size;
-    let prev =
-      Memory.cas_word mem addr ~expect:header ~desired:((new_addr lsl 1) lor 1)
-    in
-    if prev = header then begin
-      ctx.State.pd_copied_words <- ctx.State.pd_copied_words + size;
-      ctx.State.pd_copied_objects <- ctx.State.pd_copied_objects + 1;
-      if record_moves then begin
-        Vec.push ctx.State.pd_moves addr;
-        Vec.push ctx.State.pd_moves new_addr
-      end;
-      grey_push ctx new_addr;
-      new_addr
-    end
-    else begin
-      ctx.State.pd_cas_retries <- ctx.State.pd_cas_retries + 1;
-      (match ctx.State.pd_dests.(belt) with
-      | Some d -> Increment.unbump d ~addr:new_addr ~size
-      | None -> assert false (* a successful bump leaves its increment open *));
-      prev lsr 1
-    end
-  in
-
-  let unowned addr =
-    invalid_arg (Printf.sprintf "Collector: object %#x in unowned frame" addr)
-  in
-  let forward ctx v =
-    if not (Value.is_ref v) then v
-    else begin
-      let addr = Value.to_addr v in
-      let m = Frame_table.meta ftab (addr lsr frame_log) in
-      if not (Frame_table.meta_in_plan m) then v
-      else begin
-        let s = Memory.unsafe_get mem addr in
-        if s land 1 = 1 then Value.of_addr (s lsr 1)
-        else begin
-          let id = Frame_table.meta_incr m in
-          if id < 0 then unowned addr;
-          match st.State.inc_by_id.(id) with
-          | None -> unowned addr
-          | Some inc when Frame_table.meta_pinned m ->
-            (* Pinned: marked in place; the first domain to claim the
-               mark (under [pin_lock]) pushes the base object grey. *)
-            if not inc.Increment.gc_mark then begin
-              Mutex.lock pin_lock;
-              let first = not inc.Increment.gc_mark in
-              if first then inc.Increment.gc_mark <- true;
-              Mutex.unlock pin_lock;
-              if first then
-                grey_push ctx (Increment.base_object inc mem)
-            end;
-            v
-          | Some src_inc ->
-            Value.of_addr
-              (copy ctx src_inc addr s ((s lsr 1) + Object_model.header_words))
-        end
-      end
-    end
-  in
-
-  (* The stamp compare runs on the worker with possibly stale target
-     stamps (a frame granted by another domain may still read as
-     unowned), which can only over-approximate — the replay on the
-     main domain re-evaluates the predicate over the settled table. *)
-  let buffer_remember ctx ~slot ~src ~tgt =
-    if src <> tgt && Frame_table.stamp ftab tgt < Frame_table.stamp ftab src then begin
-      Vec.push ctx.State.pd_remember slot;
-      Vec.push ctx.State.pd_remember tgt
-    end
-  in
-
-  let scan_slots (ctx : State.par_domain) ~as_remset obj =
-    let n = Memory.unsafe_get mem obj lsr 1 in
-    for slot = obj + 1 to obj + 1 + n do
-      let v = Memory.unsafe_get mem slot in
-      if Value.is_ref v then begin
-        if as_remset then
-          ctx.State.pd_remset_slots <- ctx.State.pd_remset_slots + 1
-        else ctx.State.pd_scanned_slots <- ctx.State.pd_scanned_slots + 1;
-        let v' = forward ctx v in
-        if v' <> v then Memory.unsafe_set mem slot v';
-        buffer_remember ctx ~slot ~src:(slot lsr frame_log)
-          ~tgt:(Value.to_addr v' lsr frame_log)
-      end
-    done
-  in
-
-  (* Run [f i ctxs.(i)] on the team, recording the domain's wall-clock
-     window for phase ordinal [ord] and routing any exception into
-     [failure] (a raise must never leave a sibling spinning). *)
-  let timed ord f i =
-    let ctx = ctxs.(i) in
-    let t0 = clock () in
-    ctx.State.pd_phase_start.(ord) <- t0;
-    (try f i ctx
-     with e ->
-       ignore (Atomic.compare_and_set failure None (Some e));
-       (* Sleepers re-check [aborted] on wake; set-then-broadcast. *)
-       wake_all ());
-    (* Each phase is a team barrier, so flushing here makes [pending]
-       exact at every phase boundary — the Cheney drain starts from a
-       true outstanding count. *)
-    flush ctx;
-    ctx.State.pd_phase_dur.(ord) <- clock () -. t0
-  in
-
-  (* Roots: strided shards over the combined root index space. *)
-  phase Gc_stats.Phase_roots true;
-  Team.run team ~domains:ndomains
-    (timed 0 (fun i ctx ->
-         Roots.iter_update_shard st.State.roots ~index:i ~stride:ndomains
-           (fun v ->
-             ctx.State.pd_roots_scanned <- ctx.State.pd_roots_scanned + 1;
-             forward ctx v)));
-  check_failure ();
-  phase Gc_stats.Phase_roots false;
-
-  (match st.State.policy.State.barrier with
-  | State.Barrier_remsets _ ->
-    phase Gc_stats.Phase_remset true;
-    (* Snapshot on the submitting domain (the remset tables are not
-       thread-safe), then process strided shards of the snapshot.
-       Duplicate slots may land in different shards: both domains
-       forward the same value (the CAS dedups the copy) and the
-       double insert is tolerated, as in the sequential path. *)
-    let pending_slots = st.State.gc_slots in
-    Vec.clear pending_slots;
-    Remset.iter_into st.State.remsets
-      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
-      (fun ~slot -> Vec.push pending_slots slot);
-    Team.run team ~domains:ndomains
-      (timed 1 (fun i ctx ->
-           let len = Vec.length pending_slots in
-           let k = ref i in
-           while !k < len && not (aborted ()) do
-             let slot = Vec.get pending_slots !k in
-             ctx.State.pd_remset_slots <- ctx.State.pd_remset_slots + 1;
-             let v = Memory.get mem slot in
-             if Value.is_ref v then begin
-               let v' = forward ctx v in
-               if v' <> v then begin
-                 Memory.set mem slot v';
-                 buffer_remember ctx ~slot ~src:(slot lsr frame_log)
-                   ~tgt:(Value.to_addr v' lsr frame_log)
-               end
-             end;
-             k := !k + ndomains
-           done));
-    check_failure ();
-    Vec.clear pending_slots;
-    phase Gc_stats.Phase_remset false
-  | State.Barrier_cards ->
-    phase Gc_stats.Phase_cards true;
-    (* Dirty-increment gathering on the submitting domain; each dirty
-       increment is scanned wholly by one domain (strided), so no two
-       domains write the same non-plan slot. *)
-    let incs_to_scan = Hashtbl.create 16 in
-    Card_table.iter_dirty st.State.cards (fun frame ->
-        if not (Frame_table.in_plan ftab frame) then begin
-          Card_table.clear st.State.cards ~frame;
-          match State.inc_of_frame st frame with
-          | Some inc -> Hashtbl.replace incs_to_scan inc.Increment.id inc
-          | None -> ()
-        end);
-    let scan_incs = Array.of_seq (Hashtbl.to_seq_values incs_to_scan) in
-    Team.run team ~domains:ndomains
-      (timed 1 (fun i ctx ->
-           let k = ref i in
-           while !k < Array.length scan_incs && not (aborted ()) do
-             Increment.iter_objects scan_incs.(!k) mem (fun obj ->
-                 scan_slots ctx ~as_remset:true obj);
-             k := !k + ndomains
-           done));
-    check_failure ();
-    phase Gc_stats.Phase_cards false);
-
-  (* Cheney drain. Hot path: pop the private stack (no atomics),
-     offloading surplus to the domain's deque in batches so thieves
-     have something to take. Dry path: drain the own deque, then
-     steal; a failed round flushes the delta, spins briefly, and
-     parks. Any single domain can finish the whole drain through
-     stealing, so a degraded (sequential) team execution remains
-     correct. *)
-  let offload_trigger = 64 and offload_low = 16 and offload_batch = 32 in
-  let flush_bound = 64 in
-  let any_published () =
-    let any = ref false in
-    for d = 0 to ndomains - 1 do
-      if not (Deque.is_empty ctxs.(d).State.pd_grey) then any := true
-    done;
-    !any
-  in
-  let park () =
-    Mutex.lock idle_m;
-    Atomic.incr sleepers;
-    (* Predicate re-checked under [idle_m]: every waker broadcasts
-       under it, so a publish or flush-to-zero between this check and
-       the wait is impossible. *)
-    if Atomic.get pending > 0 && (not (aborted ())) && not (any_published ())
-    then Condition.wait idle_cv idle_m;
-    Atomic.decr sleepers;
-    Mutex.unlock idle_m
-  in
-  phase Gc_stats.Phase_cheney true;
-  Team.run team ~domains:ndomains
-    (timed 2 (fun i ctx ->
-         let scan obj =
-           scan_slots ctx ~as_remset:false obj;
-           ctx.State.pd_delta <- ctx.State.pd_delta - 1
-         in
-         let rec own () =
-           if
-             Vec.length ctx.State.pd_stack > offload_trigger
-             && Deque.length ctx.State.pd_grey < offload_low
-           then begin
-             for _ = 1 to offload_batch do
-               Deque.push ctx.State.pd_grey (Vec.pop ctx.State.pd_stack)
-             done;
-             if Atomic.get sleepers > 0 then wake_all ()
-           end;
-           if ctx.State.pd_delta > flush_bound then flush ctx;
-           if not (Vec.is_empty ctx.State.pd_stack) then begin
-             scan (Vec.pop ctx.State.pd_stack);
-             own ()
-           end
-           else begin
-             let obj = Deque.pop ctx.State.pd_grey in
-             if obj <> Addr.null then begin
-               scan obj;
-               own ()
-             end
-             else steal 0
-           end
-         and steal rounds =
-           flush ctx;
-           if not (aborted ()) then begin
-             let stolen = ref Addr.null in
-             let k = ref 1 in
-             while !stolen = Addr.null && !k < ndomains do
-               let v = Deque.steal ctxs.((i + !k) mod ndomains).State.pd_grey in
-               if v <> Addr.null then stolen := v;
-               incr k
-             done;
-             match !stolen with
-             | obj when obj <> Addr.null ->
-               ctx.State.pd_steals <- ctx.State.pd_steals + 1;
-               scan obj;
-               own ()
-             | _ ->
-               if Atomic.get pending = 0 then ()
-               else if rounds < 2 then begin
-                 Domain.cpu_relax ();
-                 steal (rounds + 1)
-               end
-               else begin
-                 park ();
-                 steal 0
-               end
-           end
-         in
-         own ()));
-  check_failure ();
-  phase Gc_stats.Phase_cheney false;
-
-  (* Back to one domain: replay buffered side effects, then the free
-     phase and bookkeeping exactly as in the sequential path. *)
-  let copied_words = ref 0 in
-  let copied_objects = ref 0 in
-  let scanned_slots = ref 0 in
-  let remset_slots = ref 0 in
-  let roots_scanned = ref 0 in
-  Array.iter
-    (fun (c : State.par_domain) ->
-      copied_words := !copied_words + c.State.pd_copied_words;
-      copied_objects := !copied_objects + c.State.pd_copied_objects;
-      scanned_slots := !scanned_slots + c.State.pd_scanned_slots;
-      remset_slots := !remset_slots + c.State.pd_remset_slots;
-      roots_scanned := !roots_scanned + c.State.pd_roots_scanned)
-    ctxs;
-
-  (* Moves first, so the shadow heap has re-keyed every object before
-     any later hook looks at it. *)
-  if record_moves then
-    Array.iter
-      (fun (c : State.par_domain) ->
-        let mv = c.State.pd_moves in
-        let len = Vec.length mv in
-        let k = ref 0 in
-        while !k < len do
-          let src = Vec.get mv !k and dst = Vec.get mv (!k + 1) in
-          List.iter (fun h -> h.State.on_move ~src ~dst) st.State.hooks;
-          k := !k + 2
-        done;
-        Vec.clear mv)
-      ctxs;
-
-  Array.iter
-    (fun (c : State.par_domain) ->
-      let buf = c.State.pd_remember in
-      let len = Vec.length buf in
-      let k = ref 0 in
-      while !k < len do
-        let slot = Vec.get buf !k and tgt = Vec.get buf (!k + 1) in
-        Write_barrier.re_remember st ~use_cards ~slot
-          ~src_frame:(slot lsr frame_log) ~tgt_frame:tgt;
-        k := !k + 2
-      done;
-      Vec.clear buf)
-    ctxs;
-
-  (* Destination increments that ended the drain empty — every copy
-     they received lost its forwarding race — are freed (they may hold
-     one granted frame each). *)
-  Array.iter
-    (fun (c : State.par_domain) ->
-      List.iter
-        (fun (inc : Increment.t) ->
-          if Increment.words_used inc = 0 then State.free_increment st inc)
-        c.State.pd_opened;
-      c.State.pd_opened <- [];
-      Array.fill c.State.pd_dests 0 (Array.length c.State.pd_dests) None)
-    ctxs;
-
-  phase Gc_stats.Phase_free true;
-  let pf = plan_frames plan in
-  let pw = plan_words plan in
-  let pi = List.length plan.increments in
-  let freed_frames = ref 0 in
-  List.iter
-    (fun (inc : Increment.t) ->
-      if inc.Increment.pinned && inc.Increment.gc_mark then begin
-        inc.Increment.gc_mark <- false;
-        inc.Increment.in_plan <- false;
-        Vec.iter
-          (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-          inc.Increment.frames
-      end
-      else begin
-        freed_frames := !freed_frames + Increment.occupancy_frames inc;
-        State.free_increment st inc
-      end)
-    plan.increments;
-  let freed_frames = !freed_frames in
-  phase Gc_stats.Phase_free false;
-
-  st.State.in_gc <- false;
-  if plan.full_heap then st.State.live_est_frames <- st.State.frames_used;
-  let record : Gc_stats.collection =
-    {
-      Gc_stats.n = Gc_stats.gcs st.State.stats;
-      reason = plan.reason;
-      emergency = plan.emergency;
-      clock_words = st.State.stats.Gc_stats.words_allocated;
-      plan_incs = pi;
-      plan_frames = pf;
-      plan_words = pw;
-      full_heap = plan.full_heap;
-      copied_words = !copied_words;
-      copied_objects = !copied_objects;
-      scanned_slots = !scanned_slots;
-      remset_slots = !remset_slots;
-      roots_scanned = !roots_scanned;
-      marked_objects = 0;
-      marked_words = 0;
-      swept_words = 0;
-      moved_words = 0;
-      freed_frames;
-      heap_frames_after = st.State.frames_used;
-      reserve_frames = Copy_reserve.frames st;
-    }
-  in
-  Gc_stats.record_collection st.State.stats record;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    let reports =
-      Array.mapi
-        (fun i (c : State.par_domain) ->
-          {
-            State.pr_domain = i;
-            pr_phases =
-              [|
-                ( Gc_stats.Phase_roots,
-                  c.State.pd_phase_start.(0),
-                  c.State.pd_phase_dur.(0) );
-                ( (if use_cards then Gc_stats.Phase_cards
-                   else Gc_stats.Phase_remset),
-                  c.State.pd_phase_start.(1),
-                  c.State.pd_phase_dur.(1) );
-                ( Gc_stats.Phase_cheney,
-                  c.State.pd_phase_start.(2),
-                  c.State.pd_phase_dur.(2) );
-              |];
-            pr_copied_objects = c.State.pd_copied_objects;
-            pr_copied_words = c.State.pd_copied_words;
-            pr_scanned_slots = c.State.pd_scanned_slots + c.State.pd_remset_slots;
-            pr_steals = c.State.pd_steals;
-            pr_cas_retries = c.State.pd_cas_retries;
-          })
-        ctxs
-    in
-    List.iter
-      (fun h ->
-        h.State.on_gc_domains ~reports;
-        h.State.on_reserve ~frames:record.Gc_stats.reserve_frames;
-        h.State.on_collect_end ~full_heap:plan.full_heap)
-      hs);
-  record
-
-(* ------------------------------------------------------------------ *)
-(* The in-place strategies: bitmap mark-sweep and threaded (Jonkers)
-   mark-compact. One driver handles both; [compact] selects whether
-   the reclaim phase rebuilds free lists in place or slides survivors
-   to the front of their own increments.
-
-   Shape of a collection:
-
-   - the plan's non-pinned increments are *logically promoted first*:
+   - The plan's non-pinned increments are *logically promoted first*:
      moved to their destination belts and restamped (every frame
      restamped to match) before any tracing. Tracing then runs
      entirely under the final stamps, so re-applying the write
@@ -999,69 +302,25 @@ let collect_par st plan =
      puts any older source increment into every future plan that
      contains the now-younger-stamped target.
 
-   - marking: roots, then remembered slots / dirty cards, then an
+   - Marking: roots, then remembered slots / dirty cards, then an
      explicit mark-stack drain over the side bitmap (one bit per heap
      word, held by the memory substrate; only the plan's frames are
      cleared, and marks are only ever read behind an in-plan test).
      Pinned (LOS) increments in the plan are marked through the same
      bitmap on their base object.
 
-   - reclaim: the sweep coalesces each increment's dead runs into
-     free-list fillers frame by frame, freeing frames with no
-     survivor; the compactor threads references (Jonkers' scheme, as
-     in motoko-rts) and slides survivors to the front of the
-     increment's own frames in two passes, freeing the vacated tail.
-
-   Neither strategy needs a copy reserve ([Strategy] reserves zero
-   frames), which is exactly the trade the strategies experiment
-   measures against the copying collector's per-object work. *)
-let collect_mark st plan ~compact =
+   - Reclaim: the sweep below, or the threaded compaction (Jonkers'
+     scheme, as in motoko-rts). Neither needs a copy reserve. *)
+let mark_in_place st plan c ~compact =
   let mem = st.State.mem in
   let ftab = st.State.ftab in
   let frame_log = Memory.frame_log mem in
   let frame_words = Memory.frame_words mem in
-  st.State.in_gc <- true;
-  (match st.State.hooks with
-  | [] -> ()
-  | hs ->
-    List.iter
-      (fun h ->
-        h.State.on_collect_start ~reason:plan.reason ~emergency:plan.emergency)
-      hs);
-  let phase p enter =
-    match st.State.hooks with
-    | [] -> ()
-    | hs -> List.iter (fun h -> h.State.on_gc_phase ~phase:p ~enter) hs
-  in
   let hook_object_dead ~addr ~words =
     match st.State.hooks with
     | [] -> ()
     | hs -> List.iter (fun h -> h.State.on_object_dead ~addr ~words) hs
   in
-  let marked_objects = ref 0 in
-  let marked_words = ref 0 in
-  let swept_words = ref 0 in
-  let moved_words = ref 0 in
-  let scanned_slots = ref 0 in
-  let remset_slots = ref 0 in
-  let roots_scanned = ref 0 in
-  let freed_frames = ref 0 in
-
-  (* Plan totals up front: unlike the copying drain, the reclaim phase
-     below rewrites the plan increments' own occupancy. *)
-  let pf = plan_frames plan in
-  let pw = plan_words plan in
-  let pi = List.length plan.increments in
-
-  (* Plan membership bits, as in the copying drain. *)
-  List.iter
-    (fun (inc : Increment.t) ->
-      inc.Increment.in_plan <- true;
-      Increment.seal inc;
-      Vec.iter
-        (fun f -> Frame_table.set_in_plan ftab ~frame:f true)
-        inc.Increment.frames)
-    plan.increments;
 
   (* Logical promotion: survivors keep their frames, so promotion is a
      belt/stamp relabelling instead of a copy. Each increment takes a
@@ -1106,9 +365,9 @@ let collect_mark st plan ~compact =
         && not (Memory.marked mem addr)
       then begin
         Memory.set_mark mem addr;
-        incr marked_objects;
-        marked_words :=
-          !marked_words + (Memory.unsafe_get mem addr lsr 1)
+        c.marked_objects <- c.marked_objects + 1;
+        c.marked_words <-
+          c.marked_words + (Memory.unsafe_get mem addr lsr 1)
           + Object_model.header_words;
         Vec.push stack addr
       end
@@ -1136,272 +395,188 @@ let collect_mark st plan ~compact =
     end
   in
 
-  (* Roots. Nothing moves during marking, so this pass only traces;
-     the compactor rewrites root slots after the slide. *)
-  phase Gc_stats.Phase_roots true;
-  Roots.iter_update st.State.roots (fun v ->
-      incr roots_scanned;
-      trace v;
-      v);
-  phase Gc_stats.Phase_roots false;
-
-  (match st.State.policy.State.barrier with
-  | State.Barrier_remsets _ ->
-    phase Gc_stats.Phase_remset true;
-    (* Remembered slots targeting the plan from outside it. Snapshot
-       first: marking inserts remset entries (mark-sweep re-records
-       during the drain) and the table must not be mutated
-       mid-iteration. *)
-    let pending_slots = st.State.gc_slots in
-    Vec.clear pending_slots;
-    Remset.iter_into st.State.remsets
-      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
-      (fun ~slot -> Vec.push pending_slots slot);
-    for k = 0 to Vec.length pending_slots - 1 do
-      let slot = Vec.get pending_slots k in
-      incr remset_slots;
-      let v = Memory.get mem slot in
+  (* Dirty-frame scanning: cards were cleared by the driver and are
+     re-marked for slots that still hold interesting pointers —
+     immediately for slots whose target stays put, after the slide for
+     slots into compacting increments. *)
+  let card_object obj =
+    let n = Memory.unsafe_get mem obj lsr 1 in
+    for slot = obj + 1 to obj + 1 + n do
+      let v = Memory.unsafe_get mem slot in
       if Value.is_ref v then begin
+        c.remset_slots <- c.remset_slots + 1;
         trace v;
-        note_ext slot
+        let tf = Value.to_addr v lsr frame_log in
+        let tm = Frame_table.meta ftab tf in
+        if compact && Frame_table.meta_in_plan tm && not (Frame_table.meta_pinned tm)
+        then note_ext slot
+        else re_remember ~slot ~src:(slot lsr frame_log) ~tgt:tf
       end
-    done;
-    Vec.clear pending_slots;
-    phase Gc_stats.Phase_remset false
-  | State.Barrier_cards ->
-    phase Gc_stats.Phase_cards true;
-    (* Dirty-frame scanning, as in the copying drain: cards are cleared
-       first and re-marked for slots that still hold interesting
-       pointers — immediately for slots whose target stays put, after
-       the slide for slots into compacting increments. *)
-    let incs_to_scan = Hashtbl.create 16 in
-    Card_table.iter_dirty st.State.cards (fun frame ->
-        if not (Frame_table.in_plan ftab frame) then begin
-          Card_table.clear st.State.cards ~frame;
-          match State.inc_of_frame st frame with
-          | Some inc -> Hashtbl.replace incs_to_scan inc.Increment.id inc
-          | None -> ()
-        end);
-    Hashtbl.iter
-      (fun _ (inc : Increment.t) ->
-        Increment.iter_objects inc mem (fun obj ->
-            let n = Memory.unsafe_get mem obj lsr 1 in
-            for slot = obj + 1 to obj + 1 + n do
-              let v = Memory.unsafe_get mem slot in
-              if Value.is_ref v then begin
-                incr remset_slots;
-                trace v;
-                let tf = Value.to_addr v lsr frame_log in
-                let tm = Frame_table.meta ftab tf in
-                if
-                  compact
-                  && Frame_table.meta_in_plan tm
-                  && not (Frame_table.meta_pinned tm)
-                then note_ext slot
-                else re_remember ~slot ~src:(slot lsr frame_log) ~tgt:tf
-              end
-            done))
-      incs_to_scan;
-    phase Gc_stats.Phase_cards false);
+    done
+  in
 
   (* Mark drain. Under the sweep, surviving slots re-apply the barrier
      predicate here, under the (final) promoted stamps — the in-place
      analogue of the copying scan's re-recording. The compactor defers
      it to after the slide: both the slots and their targets move. *)
-  phase Gc_stats.Phase_mark true;
-  while not (Vec.is_empty stack) do
-    let obj = Vec.pop stack in
-    let n = Memory.unsafe_get mem obj lsr 1 in
-    for slot = obj + 1 to obj + 1 + n do
-      let v = Memory.unsafe_get mem slot in
-      if Value.is_ref v then begin
-        incr scanned_slots;
-        trace v;
-        if not compact then
-          re_remember ~slot ~src:(slot lsr frame_log)
-            ~tgt:(Value.to_addr v lsr frame_log)
-      end
-    done
-  done;
-  phase Gc_stats.Phase_mark false;
-
-  (* Free one frame of a surviving increment (wholly dead, or vacated
-     by the slide): the same per-frame bookkeeping [State.free_increment]
-     does, minus the increment-level teardown. *)
-  let free_frame_now (inc : Increment.t) frame =
-    Remset.drop_frame st.State.remsets frame;
-    Card_table.clear st.State.cards ~frame;
-    Frame_table.clear ftab ~frame;
-    Memory.free_frame mem frame;
-    st.State.frames_used <- st.State.frames_used - 1;
-    incr freed_frames;
-    match st.State.hooks with
-    | [] -> ()
-    | hs ->
-      List.iter (fun h -> h.State.on_frame_free ~frame ~belt:inc.Increment.belt) hs
-  in
-  (* Pinned increments are retained in place when their object was
-     reached, released otherwise — the same either way; the compactor
-     additionally re-records the retained object's slots once every
-     target has its final address ([rescan]). *)
-  let finish_pinned ~rescan (inc : Increment.t) =
-    if Memory.marked mem (Increment.base_object inc mem) then begin
-      if rescan then begin
-        let obj = Increment.base_object inc mem in
-        let n = Memory.unsafe_get mem obj lsr 1 in
-        for slot = obj + 1 to obj + 1 + n do
-          let v = Memory.unsafe_get mem slot in
-          if Value.is_ref v then
+  let drain () =
+    while not (Vec.is_empty stack) do
+      let obj = Vec.pop stack in
+      let n = Memory.unsafe_get mem obj lsr 1 in
+      for slot = obj + 1 to obj + 1 + n do
+        let v = Memory.unsafe_get mem slot in
+        if Value.is_ref v then begin
+          c.scanned_slots <- c.scanned_slots + 1;
+          trace v;
+          if not compact then
             re_remember ~slot ~src:(slot lsr frame_log)
               ~tgt:(Value.to_addr v lsr frame_log)
-        done
-      end;
-      inc.Increment.in_plan <- false;
-      Vec.iter
-        (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-        inc.Increment.frames
-    end
+        end
+      done
+    done
+  in
+
+  (* Free one frame of a surviving increment (wholly dead, or vacated
+     by the slide). *)
+  let free_frame_now inc frame =
+    State.free_frame st inc frame;
+    c.freed_frames <- c.freed_frames + 1
+  in
+  (* Pinned increments are retained in place when their object was
+     reached, released otherwise; the compactor additionally re-records
+     the retained object's slots once every target has its final
+     address ([rescan]). *)
+  let finish_pinned ~rescan (inc : Increment.t) =
+    let obj = Increment.base_object inc mem in
+    let keep = Memory.marked mem obj in
+    if keep && rescan then begin
+      let n = Memory.unsafe_get mem obj lsr 1 in
+      for slot = obj + 1 to obj + 1 + n do
+        let v = Memory.unsafe_get mem slot in
+        if Value.is_ref v then
+          re_remember ~slot ~src:(slot lsr frame_log) ~tgt:(Value.to_addr v lsr frame_log)
+      done
+    end;
+    settle st c inc ~keep
+  in
+  (* Reopen a rebuilt increment over its surviving frames: [used.(i)]
+     words in use in frame [i]; the last frame reopens under the bump
+     cursor, the others keep their recorded extents. *)
+  let reopen (inc : Increment.t) ~used ~objects =
+    let m = Vec.length inc.Increment.frames in
+    Vec.clear inc.Increment.frame_used;
+    let words = ref 0 in
+    for i = 0 to m - 1 do
+      words := !words + Vec.get used i;
+      if i < m - 1 then Vec.push inc.Increment.frame_used (Vec.get used i)
+    done;
+    let last_base = Memory.frame_base mem (Vec.get inc.Increment.frames (m - 1)) in
+    inc.Increment.cursor <- last_base + Vec.get used (m - 1);
+    inc.Increment.limit <- last_base + frame_words;
+    inc.Increment.words_used <- !words;
+    inc.Increment.objects <- objects;
+    inc.Increment.sealed <- false;
+    settle st c inc ~keep:true
+  in
+
+  (* Sweep: rebuild each increment in place. Adjacent dead objects
+     coalesce into one filler per run — an even header and odd
+     (immediate) payload words, so object walks parse it and slot walks
+     skip it — pushed onto the increment's free list. Frames with no
+     survivor are returned individually, and the increment is unsealed
+     so the mutator can bump its tail and refill its holes. *)
+  let sweep (inc : Increment.t) =
+    let nframes = Increment.frame_count inc in
+    (* Survival per frame, decided before any rebuilding. *)
+    let keep = Array.make (max nframes 1) false in
+    let any_live = ref false in
+    for fi = 0 to nframes - 1 do
+      let base = Memory.frame_base mem (Vec.get inc.Increment.frames fi) in
+      let extent = base + Increment.used_of_frame inc mem fi in
+      let a = ref base in
+      while !a < extent do
+        if Memory.marked mem !a then begin
+          keep.(fi) <- true;
+          any_live := true
+        end;
+        a := !a + (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
+      done
+    done;
+    if not !any_live then settle st c inc ~keep:false
     else begin
-      freed_frames := !freed_frames + Increment.occupancy_frames inc;
-      State.free_increment st inc
+      Increment.clear_free_list inc;
+      let kept_frames = Vec.create ~dummy:0 () in
+      let kept_used = Vec.create ~dummy:0 () in
+      let live = ref 0 in
+      let fillers = ref 0 in
+      for fi = 0 to nframes - 1 do
+        let frame = Vec.get inc.Increment.frames fi in
+        if not keep.(fi) then free_frame_now inc frame
+        else begin
+          let used = Increment.used_of_frame inc mem fi in
+          let base = Memory.frame_base mem frame in
+          let extent = base + used in
+          let run_start = ref Addr.null in
+          let flush upto =
+            if !run_start <> Addr.null then begin
+              let k = upto - !run_start in
+              Memory.unsafe_set mem !run_start ((k - Object_model.header_words) lsl 1);
+              Memory.fill mem ~dst:(!run_start + 1) ~len:(k - 1) 1;
+              Increment.push_free inc ~addr:!run_start ~words:k;
+              incr fillers;
+              run_start := Addr.null
+            end
+          in
+          let a = ref base in
+          while !a < extent do
+            let size = (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words in
+            if Memory.marked mem !a then begin
+              incr live;
+              flush !a
+            end
+            else begin
+              if !run_start = Addr.null then run_start := !a;
+              c.swept_words <- c.swept_words + size;
+              (* Dead in a surviving frame: reported here. Dead objects
+                 in a freed frame die with the frame ([on_frame_free]),
+                 never both. *)
+              hook_object_dead ~addr:!a ~words:size
+            end;
+            a := !a + size
+          done;
+          flush extent;
+          Vec.push kept_frames frame;
+          Vec.push kept_used used
+        end
+      done;
+      (* The last kept frame's tail words are still zeroed — bump
+         allocation never reached them. *)
+      Vec.clear inc.Increment.frames;
+      Vec.iter (Vec.push inc.Increment.frames) kept_frames;
+      reopen inc ~used:kept_used ~objects:(!live + !fillers)
     end
   in
 
-  if not compact then begin
-    (* Sweep: rebuild each increment in place. Adjacent dead objects
-       coalesce into one filler per run — an even header and odd
-       (immediate) payload words, so object walks parse it and slot
-       walks skip it — pushed onto the increment's free list. Frames
-       with no survivor are returned individually, and the increment
-       is unsealed so the mutator can bump its tail and refill its
-       holes. *)
-    phase Gc_stats.Phase_sweep true;
-    List.iter
-      (fun (inc : Increment.t) ->
-        if inc.Increment.pinned then finish_pinned ~rescan:false inc
-        else begin
-          let nframes = Increment.frame_count inc in
-          (* Survival per frame, decided before any rebuilding. *)
-          let keep = Array.make (max nframes 1) false in
-          let any_live = ref false in
-          for fi = 0 to nframes - 1 do
-            let base = Memory.frame_base mem (Vec.get inc.Increment.frames fi) in
-            let extent = base + Increment.used_of_frame inc mem fi in
-            let a = ref base in
-            while !a < extent do
-              if Memory.marked mem !a then begin
-                keep.(fi) <- true;
-                any_live := true
-              end;
-              a := !a + (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
-            done
-          done;
-          if not !any_live then begin
-            freed_frames := !freed_frames + Increment.occupancy_frames inc;
-            State.free_increment st inc
-          end
-          else begin
-            Increment.clear_free_list inc;
-            let kept_frames = Vec.create ~dummy:0 () in
-            let kept_used = Vec.create ~dummy:0 () in
-            let live = ref 0 in
-            let fillers = ref 0 in
-            for fi = 0 to nframes - 1 do
-              let frame = Vec.get inc.Increment.frames fi in
-              if not keep.(fi) then free_frame_now inc frame
-              else begin
-                let used = Increment.used_of_frame inc mem fi in
-                let base = Memory.frame_base mem frame in
-                let extent = base + used in
-                let run_start = ref Addr.null in
-                let flush upto =
-                  if !run_start <> Addr.null then begin
-                    let k = upto - !run_start in
-                    Memory.unsafe_set mem !run_start
-                      ((k - Object_model.header_words) lsl 1);
-                    Memory.fill mem ~dst:(!run_start + 1) ~len:(k - 1) 1;
-                    Increment.push_free inc ~addr:!run_start ~words:k;
-                    incr fillers;
-                    run_start := Addr.null
-                  end
-                in
-                let a = ref base in
-                while !a < extent do
-                  let size =
-                    (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
-                  in
-                  if Memory.marked mem !a then begin
-                    incr live;
-                    flush !a
-                  end
-                  else begin
-                    if !run_start = Addr.null then run_start := !a;
-                    swept_words := !swept_words + size;
-                    (* Dead in a surviving frame: reported here. Dead
-                       objects in a freed frame die with the frame
-                       ([on_frame_free]), never both. *)
-                    hook_object_dead ~addr:!a ~words:size
-                  end;
-                  a := !a + size
-                done;
-                flush extent;
-                Vec.push kept_frames frame;
-                Vec.push kept_used used
-              end
-            done;
-            (* Rebuild over the surviving frames: the last reopens
-               under the bump cursor (its tail words are still zeroed —
-               bump allocation never reached them), the others keep
-               their recorded extents. *)
-            Vec.clear inc.Increment.frames;
-            Vec.clear inc.Increment.frame_used;
-            let m = Vec.length kept_frames in
-            let words = ref 0 in
-            for i = 0 to m - 1 do
-              Vec.push inc.Increment.frames (Vec.get kept_frames i);
-              words := !words + Vec.get kept_used i;
-              if i < m - 1 then
-                Vec.push inc.Increment.frame_used (Vec.get kept_used i)
-            done;
-            let last_base = Memory.frame_base mem (Vec.get kept_frames (m - 1)) in
-            inc.Increment.cursor <- last_base + Vec.get kept_used (m - 1);
-            inc.Increment.limit <- last_base + frame_words;
-            inc.Increment.words_used <- !words;
-            inc.Increment.objects <- !live + !fillers;
-            inc.Increment.sealed <- false;
-            inc.Increment.in_plan <- false;
-            Vec.iter
-              (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-              inc.Increment.frames
-          end
-        end)
-      plan.increments;
-    phase Gc_stats.Phase_sweep false
-  end
-  else begin
-    (* Threaded compaction (Jonkers): every reference to a moving
-       object is threaded into a chain hanging off the target's
-       header; two passes over the compacting increments in one fixed
-       total order (plan order, stream order within an increment)
-       first compute destination addresses and unthread the already
-       recorded referrers, then slide the objects and unthread the
-       rest. Both passes recompute the same destination cursor — the
-       survivors packed into the increment's own frames in order,
-       advancing at a frame seam exactly when the object would not
-       fit the remainder. The original packing obeyed the same rule,
-       so within any frame the destination never overtakes the
-       source and [Memory.blit]'s forward copy is safe; across
-       frames, source and destination never alias. *)
-    phase Gc_stats.Phase_compact true;
-
+  (* Threaded compaction (Jonkers): every reference to a moving object
+     is threaded into a chain hanging off the target's header; two
+     passes over the compacting increments in one fixed total order
+     (plan order, stream order within an increment) first compute
+     destination addresses and unthread the already recorded
+     referrers, then slide the objects and unthread the rest. Both
+     passes recompute the same destination cursor — the survivors
+     packed into the increment's own frames in order, advancing at a
+     frame seam exactly when the object would not fit the remainder.
+     The original packing obeyed the same rule, so within any frame the
+     destination never overtakes the source and [Memory.blit]'s forward
+     copy is safe; across frames, source and destination never
+     alias. *)
+  let compact_all () =
     (* Fields of retained pinned objects point into compacting
        increments by address; collect them with the external slots
        (deduplicated) so they are threaded and re-recorded too. *)
     List.iter
       (fun (inc : Increment.t) ->
-        if
-          inc.Increment.pinned
-          && Memory.marked mem (Increment.base_object inc mem)
+        if inc.Increment.pinned && Memory.marked mem (Increment.base_object inc mem)
         then begin
           let obj = Increment.base_object inc mem in
           let n = Memory.unsafe_get mem obj lsr 1 in
@@ -1412,27 +587,24 @@ let collect_mark st plan ~compact =
       plan.increments;
     (* Thread the external slots. Every slot's target was traced with
        this same value, so a slot pointing at a moving (in-plan,
-       non-pinned) object always points at a live one. This must
-       happen only now: the drain above reads these very slots, and a
-       threaded slot holds a chain link, not a value. *)
-    let thread_slot slot =
-      let v = Memory.get mem slot in
-      if Value.is_ref v then begin
-        let tgt = Value.to_addr v in
-        let tm = Frame_table.meta ftab (tgt lsr frame_log) in
-        if Frame_table.meta_in_plan tm && not (Frame_table.meta_pinned tm)
-        then begin
-          Memory.set mem slot (Memory.unsafe_get mem tgt);
-          Memory.unsafe_set mem tgt ((slot lsl 1) lor 1)
-        end
-      end
-    in
-    Vec.iter thread_slot ext_slots;
+       non-pinned) object always points at a live one. This must happen
+       only now: the drain reads these very slots, and a threaded slot
+       holds a chain link, not a value. *)
+    Vec.iter
+      (fun slot ->
+        let v = Memory.get mem slot in
+        if Value.is_ref v then begin
+          let tgt = Value.to_addr v in
+          let tm = Frame_table.meta ftab (tgt lsr frame_log) in
+          if Frame_table.meta_in_plan tm && not (Frame_table.meta_pinned tm) then begin
+            Memory.set mem slot (Memory.unsafe_get mem tgt);
+            Memory.unsafe_set mem tgt ((slot lsl 1) lor 1)
+          end
+        end)
+      ext_slots;
 
     let compacting =
-      List.filter
-        (fun (i : Increment.t) -> not i.Increment.pinned)
-        plan.increments
+      List.filter (fun (i : Increment.t) -> not i.Increment.pinned) plan.increments
     in
     (* Chain-walk to the terminal (even) header word without
        unthreading: an object's size is needed to place it before its
@@ -1470,8 +642,7 @@ let collect_mark st plan ~compact =
           while !a < extent do
             if Memory.marked mem !a then begin
               any := true;
-              let h = threaded_header !a in
-              let size = (h lsr 1) + Object_model.header_words in
+              let size = (threaded_header !a lsr 1) + Object_model.header_words in
               if !daddr + size > !dlimit then begin
                 incr dfi;
                 daddr := Memory.frame_base mem (Vec.get inc.Increment.frames !dfi);
@@ -1490,10 +661,10 @@ let collect_mark st plan ~compact =
                 Memory.unsafe_set mem s (Value.of_addr dst)
               done;
               Memory.unsafe_set mem !a !w;
+              let n = !w lsr 1 in
               (* Thread this object's own references to movers (a
                  self-reference threads into this object's own chain
                  and resolves in pass two, before the slide). *)
-              let n = !w lsr 1 in
               for slot = !a + 1 to !a + 1 + n do
                 let v = Memory.unsafe_get mem slot in
                 if Value.is_ref v then begin
@@ -1508,9 +679,7 @@ let collect_mark st plan ~compact =
               done;
               a := !a + size
             end
-            else
-              a :=
-                !a + (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
+            else a := !a + (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
           done
         done;
         Hashtbl.replace live_frames inc.Increment.id (if !any then !dfi + 1 else 0))
@@ -1520,16 +689,13 @@ let collect_mark st plan ~compact =
        unthread the remaining referrers (slots of objects later in the
        order — not yet moved — or of this object itself), restore the
        header, slide, and rebuild the increment over its survivor
-       prefix. Finishing each increment here is sound: all of its
-       slots already hold final values (forward references were
-       resolved by pass one, which ran to completion everywhere). *)
+       prefix. Finishing each increment here is sound: all of its slots
+       already hold final values (forward references were resolved by
+       pass one, which ran to completion everywhere). *)
     List.iter
       (fun (inc : Increment.t) ->
         let m = Hashtbl.find live_frames inc.Increment.id in
-        if m = 0 then begin
-          freed_frames := !freed_frames + Increment.occupancy_frames inc;
-          State.free_increment st inc
-        end
+        if m = 0 then settle st c inc ~keep:false
         else begin
           let nframes = Increment.frame_count inc in
           let dfi = ref 0 in
@@ -1543,12 +709,10 @@ let collect_mark st plan ~compact =
             let a = ref base in
             while !a < extent do
               if Memory.marked mem !a then begin
-                let h = threaded_header !a in
-                let size = (h lsr 1) + Object_model.header_words in
+                let size = (threaded_header !a lsr 1) + Object_model.header_words in
                 if !daddr + size > !dlimit then begin
                   Vec.push extents
-                    (!daddr
-                    - Memory.frame_base mem (Vec.get inc.Increment.frames !dfi));
+                    (!daddr - Memory.frame_base mem (Vec.get inc.Increment.frames !dfi));
                   incr dfi;
                   daddr := Memory.frame_base mem (Vec.get inc.Increment.frames !dfi);
                   dlimit := !daddr + frame_words
@@ -1565,7 +729,7 @@ let collect_mark st plan ~compact =
                 incr live;
                 if dst <> !a then begin
                   Memory.blit mem ~src:!a ~dst ~len:size;
-                  moved_words := !moved_words + size;
+                  c.moved_words <- c.moved_words + size;
                   match st.State.hooks with
                   | [] -> ()
                   | hs -> List.iter (fun h -> h.State.on_move ~src:!a ~dst) hs
@@ -1573,14 +737,12 @@ let collect_mark st plan ~compact =
                 a := !a + size
               end
               else begin
-                let size =
-                  (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words
-                in
+                let size = (Memory.unsafe_get mem !a lsr 1) + Object_model.header_words in
                 if fi < m then begin
                   (* Dying inside a surviving frame: reported here. A
-                     dead object in a vacated frame dies with the
-                     frame ([on_frame_free]), never both. *)
-                  swept_words := !swept_words + size;
+                     dead object in a vacated frame dies with the frame
+                     ([on_frame_free]), never both. *)
+                  c.swept_words <- c.swept_words + size;
                   hook_object_dead ~addr:!a ~words:size
                 end;
                 a := !a + size
@@ -1594,31 +756,14 @@ let collect_mark st plan ~compact =
             free_frame_now inc (Vec.get inc.Increment.frames fi)
           done;
           Vec.truncate inc.Increment.frames m;
-          Vec.clear inc.Increment.frame_used;
-          let words = ref 0 in
-          for i = 0 to m - 1 do
-            let u = Vec.get extents i in
-            words := !words + u;
-            if i < m - 1 then Vec.push inc.Increment.frame_used u
-          done;
-          inc.Increment.cursor <- !daddr;
-          inc.Increment.limit <-
-            Memory.frame_base mem (Vec.get inc.Increment.frames (m - 1))
-            + frame_words;
+          Increment.clear_free_list inc;
+          reopen inc ~used:extents ~objects:!live;
           (* The slide leaves stale object images under the reopened
              bump tail; allocation assumes zeroed words. *)
           if inc.Increment.limit > inc.Increment.cursor then
             Memory.fill mem ~dst:inc.Increment.cursor
               ~len:(inc.Increment.limit - inc.Increment.cursor)
               0;
-          inc.Increment.words_used <- !words;
-          inc.Increment.objects <- !live;
-          Increment.clear_free_list inc;
-          inc.Increment.sealed <- false;
-          inc.Increment.in_plan <- false;
-          Vec.iter
-            (fun f -> Frame_table.set_in_plan ftab ~frame:f false)
-            inc.Increment.frames;
           (* Re-apply the barrier predicate over the compacted stream
              (the in-place analogue of the copying scan's
              re-recording): every slot here is final. *)
@@ -1664,9 +809,147 @@ let collect_mark st plan ~compact =
         if Value.is_ref v then
           re_remember ~slot ~src:(slot lsr frame_log)
             ~tgt:(Value.to_addr v lsr frame_log))
-      ext_slots;
-    phase Gc_stats.Phase_compact false
-  end;
+      ext_slots
+  in
+  {
+    (* Nothing moves during marking, so the root pass only traces; the
+       compactor rewrites root slots after the slide. *)
+    root = (fun v -> trace v; v);
+    remembered = (fun ~slot v -> trace v; note_ext slot);
+    card_object;
+    drain_phase = Gc_stats.Phase_mark;
+    drain;
+    reclaim_phase = (if compact then Gc_stats.Phase_compact else Gc_stats.Phase_sweep);
+    reclaim =
+      (if compact then compact_all
+       else fun () ->
+         List.iter
+           (fun (inc : Increment.t) ->
+             if inc.Increment.pinned then finish_pinned ~rescan:false inc
+             else sweep inc)
+           plan.increments);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The collection driver: one skeleton for every strategy, the kernel
+   chosen by the installed strategy's kind. *)
+
+let abandoned st =
+  if not st.State.in_gc then None
+  else
+    Some
+      (Printf.sprintf
+         "heap abandoned: collection %d raised Out_of_memory part-way and never finished"
+         (Gc_stats.gcs st.State.stats + 1))
+
+let collect st plan =
+  (* A collection that raised part-way (a copy reserve that proved
+     insufficient) leaves forwarded objects and in-plan bits behind;
+     collecting over that heap again would only compound the damage. *)
+  Option.iter (fun m -> raise (State.Out_of_memory m)) (abandoned st);
+  let mem = st.State.mem in
+  let ftab = st.State.ftab in
+  st.State.in_gc <- true;
+  (match st.State.hooks with
+  | [] -> ()
+  | hs ->
+    List.iter
+      (fun h -> h.State.on_collect_start ~reason:plan.reason ~emergency:plan.emergency)
+      hs);
+  (* Phase spans for the flight recorder: free when no hooks are
+     installed (one list match per phase boundary per collection). *)
+  let phase p enter =
+    match st.State.hooks with
+    | [] -> ()
+    | hs -> List.iter (fun h -> h.State.on_gc_phase ~phase:p ~enter) hs
+  in
+  let c =
+    {
+      copied_words = 0;
+      copied_objects = 0;
+      scanned_slots = 0;
+      remset_slots = 0;
+      marked_objects = 0;
+      marked_words = 0;
+      swept_words = 0;
+      moved_words = 0;
+      freed_frames = 0;
+    }
+  in
+  (* Plan totals up front: the in-place kernels rewrite the plan
+     increments' own occupancy. *)
+  let pf = plan_frames plan in
+  let pw = plan_words plan in
+
+  (* Plan membership: an in-plan bit on each member frame's packed
+     metadata word, plus a flag on the increment itself. *)
+  List.iter
+    (fun (inc : Increment.t) ->
+      inc.Increment.in_plan <- true;
+      Increment.seal inc;
+      Vec.iter (fun f -> Frame_table.set_in_plan ftab ~frame:f true) inc.Increment.frames)
+    plan.increments;
+  let k =
+    match st.State.strategy.State.strategy_kind with
+    | State.Strategy_copying -> evacuate st plan c
+    | State.Strategy_marksweep -> mark_in_place st plan c ~compact:false
+    | State.Strategy_markcompact -> mark_in_place st plan c ~compact:true
+  in
+
+  (* Roots: every global and stack slot, each visited once. *)
+  let roots_scanned =
+    Roots.global_count st.State.roots + Roots.depth st.State.roots
+  in
+  phase Gc_stats.Phase_roots true;
+  Roots.iter_update st.State.roots k.root;
+  phase Gc_stats.Phase_roots false;
+
+  (match st.State.policy.State.barrier with
+  | State.Barrier_remsets _ ->
+    phase Gc_stats.Phase_remset true;
+    (* Remembered slots targeting the plan from outside it. Snapshot
+       first (into scratch reused across collections): tracing inserts
+       new remset entries and the table must not be mutated
+       mid-iteration. *)
+    let pending_slots = st.State.gc_slots in
+    Vec.clear pending_slots;
+    Remset.iter_into st.State.remsets
+      ~in_plan:(fun f -> Frame_table.in_plan ftab f)
+      (fun ~slot -> Vec.push pending_slots slot);
+    for i = 0 to Vec.length pending_slots - 1 do
+      let slot = Vec.get pending_slots i in
+      c.remset_slots <- c.remset_slots + 1;
+      let v = Memory.get mem slot in
+      if Value.is_ref v then k.remembered ~slot v
+    done;
+    Vec.clear pending_slots;
+    phase Gc_stats.Phase_remset false
+  | State.Barrier_cards ->
+    phase Gc_stats.Phase_cards true;
+    (* Card scanning: every dirty frame outside the plan may hold
+       pointers into it. Scan the owning increments object by object —
+       the scan-cost side of the cards-vs-remsets trade-off (paper S5).
+       Cards are cleared first; the kernel re-marks those whose slots
+       still hold interesting pointers. *)
+    let incs_to_scan = Hashtbl.create 16 in
+    Card_table.iter_dirty st.State.cards (fun frame ->
+        if not (Frame_table.in_plan ftab frame) then begin
+          Card_table.clear st.State.cards ~frame;
+          match State.inc_of_frame st frame with
+          | Some inc -> Hashtbl.replace incs_to_scan inc.Increment.id inc
+          | None -> ()
+        end);
+    Hashtbl.iter
+      (fun _ (inc : Increment.t) -> Increment.iter_objects inc mem k.card_object)
+      incs_to_scan;
+    phase Gc_stats.Phase_cards false);
+
+  phase k.drain_phase true;
+  k.drain ();
+  phase k.drain_phase false;
+  phase k.reclaim_phase true;
+  k.reclaim ();
+  phase k.reclaim_phase false;
 
   st.State.in_gc <- false;
   if plan.full_heap then st.State.live_est_frames <- st.State.frames_used;
@@ -1676,20 +959,20 @@ let collect_mark st plan ~compact =
       reason = plan.reason;
       emergency = plan.emergency;
       clock_words = st.State.stats.Gc_stats.words_allocated;
-      plan_incs = pi;
+      plan_incs = List.length plan.increments;
       plan_frames = pf;
       plan_words = pw;
       full_heap = plan.full_heap;
-      copied_words = 0;
-      copied_objects = 0;
-      scanned_slots = !scanned_slots;
-      remset_slots = !remset_slots;
-      roots_scanned = !roots_scanned;
-      marked_objects = !marked_objects;
-      marked_words = !marked_words;
-      swept_words = !swept_words;
-      moved_words = !moved_words;
-      freed_frames = !freed_frames;
+      copied_words = c.copied_words;
+      copied_objects = c.copied_objects;
+      scanned_slots = c.scanned_slots;
+      remset_slots = c.remset_slots;
+      roots_scanned;
+      marked_objects = c.marked_objects;
+      marked_words = c.marked_words;
+      swept_words = c.swept_words;
+      moved_words = c.moved_words;
+      freed_frames = c.freed_frames;
       heap_frames_after = st.State.frames_used;
       reserve_frames = Copy_reserve.frames st;
     }
@@ -1700,18 +983,9 @@ let collect_mark st plan ~compact =
   | hs ->
     List.iter
       (fun h ->
+        (* Reserve sampled once per collection, after the plan's frames
+           are back: the recorder's reserve-pressure time series. *)
         h.State.on_reserve ~frames:record.Gc_stats.reserve_frames;
         h.State.on_collect_end ~full_heap:plan.full_heap)
       hs);
   record
-
-(* The strategy dispatch. The copying strategy is the pre-existing
-   collector verbatim (sequential or parallel by fan-out); the
-   in-place strategies are sequential by construction and rejected at
-   configuration time for [gc_domains > 1]. *)
-let collect st plan =
-  match st.State.strategy.State.strategy_kind with
-  | State.Strategy_copying ->
-    if st.State.gc_domains <= 1 then collect_seq st plan else collect_par st plan
-  | State.Strategy_marksweep -> collect_mark st plan ~compact:false
-  | State.Strategy_markcompact -> collect_mark st plan ~compact:true

@@ -1,8 +1,5 @@
-(* One partially filled frame per destination belt — per GC domain,
-   since the parallel drain gives every domain its own private open
-   destination increment on each belt — plus slack. At one domain this
-   is the original [nbelts + 2]. *)
-let pad st = (Array.length st.State.belts * st.State.gc_domains) + 2
+(* One partially filled frame per destination belt, plus slack. *)
+let pad st = Array.length st.State.belts + 2
 
 let dynamic_frames st =
   (* Floor: the largest bounded increment size — a fresh increment of

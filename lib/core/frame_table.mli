@@ -30,15 +30,6 @@ val no_stamp : int
 
 val create : unit -> t
 
-val ensure : t -> int -> unit
-(** Grow the side tables now so every frame index up to and including
-    the argument is in range. Reads already tolerate out-of-range
-    frames; the point of calling this eagerly is the parallel
-    collector, whose worker domains read the arrays unsynchronised —
-    growth must not swap the backing arrays under them, so the
-    collector covers the whole possible index range before fanning
-    out. *)
-
 val set : t -> frame:int -> stamp:int -> incr:int -> pinned:bool -> unit
 (** Install metadata when a frame is handed to an increment (or to the
     boot space, with [incr = -1]). Clears the in-plan bit. *)

@@ -9,16 +9,6 @@ let stamp_boot_frames st =
         ~incr:(-1) ~pinned:false)
     (Boot_space.frames st.State.boot)
 
-(* BELTWAY_GC_DOMAINS: process-wide default for the number of domains a
-   collection fans out over; an explicit [?gc_domains] overrides it. *)
-let env_gc_domains () =
-  match Sys.getenv_opt "BELTWAY_GC_DOMAINS" with
-  | None | Some "" -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Some n
-    | _ -> None)
-
 let create ?(frame_log_words = 10) ?gc_domains ~config ~heap_bytes () =
   let frame_bytes = (1 lsl frame_log_words) * Addr.bytes_per_word in
   let heap_frames = max 4 ((heap_bytes + frame_bytes - 1) / frame_bytes) in
@@ -32,17 +22,13 @@ let create ?(frame_log_words = 10) ?gc_domains ~config ~heap_bytes () =
     | Ok s -> s
     | Error e -> invalid_arg ("Gc.create: " ^ e)
   in
+  (match gc_domains with
+  | None | Some 1 -> ()
+  | Some n ->
+    invalid_arg
+      (Printf.sprintf "Gc.create: gc_domains must be 1 (got %d)" n));
   let st = State.create ~strategy ~config ~policy ~heap_frames ~frame_log_words () in
   stamp_boot_frames st;
-  (match gc_domains with
-  | Some n -> State.set_gc_domains st n
-  | None -> (
-    match env_gc_domains () with
-    | Some n -> State.set_gc_domains st n
-    | None -> ()));
-  (match Strategy.check_domains strategy ~gc_domains:st.State.gc_domains with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Gc.create: " ^ e));
   st
 
 let register_type st ~name =
@@ -170,14 +156,6 @@ let words_allocated st = st.State.stats.Gc_stats.words_allocated
 let bytes_allocated st = words_allocated st * Addr.bytes_per_word
 let live_words_upper_bound st = State.live_words st
 let reserve_frames st = Copy_reserve.frames st
-let set_gc_domains st n =
-  State.set_gc_domains st n;
-  match Strategy.check_domains st.State.strategy ~gc_domains:st.State.gc_domains with
-  | Ok () -> ()
-  | Error e ->
-    State.set_gc_domains st 1;
-    invalid_arg ("Gc.set_gc_domains: " ^ e)
-let gc_domains st = st.State.gc_domains
 let state st = st
 let register_site st ~name = State.register_site st ~name
 let set_alloc_site st site = st.State.alloc_site <- site

@@ -35,13 +35,12 @@ val create :
     [Policy.resolve] (its default for the configuration's order, or
     the explicit [+policy:NAME] selection), and the reclamation
     strategy through [Strategy.resolve] (copying unless
-    [+strategy:NAME] selects otherwise). [gc_domains] sets how many
-    domains each collection is sharded over (default: the
-    [BELTWAY_GC_DOMAINS] environment variable, else 1 = sequential);
-    a non-parallel strategy combined with [gc_domains > 1] is
-    rejected.
+    [+strategy:NAME] selects otherwise). Collections run on the
+    calling domain. [gc_domains] accepts only [1]: it remains because
+    [perfbench/perf.ml] passes [~gc_domains:1], and goes with the next
+    change to that benchmark.
     @raise Invalid_argument on an invalid configuration, an unknown
-    policy or strategy, or a strategy/[gc_domains] mismatch. *)
+    policy or strategy, or a [gc_domains] other than 1. *)
 
 val register_type : t -> name:string -> Type_registry.id
 (** Register (or look up) a type; allocates its immortal type object in
@@ -118,20 +117,6 @@ val live_words_upper_bound : t -> int
 
 val reserve_frames : t -> int
 (** The copy reserve currently in force (paper S3.3.4). *)
-
-val set_gc_domains : t -> int -> unit
-(** Change the collection fan-out for subsequent collections (clamped
-    to [1, Beltway_util.Team.max_size]). One domain is the sequential
-    collector, byte-identical to the pre-parallel behaviour.
-    @raise Invalid_argument when the installed strategy does not
-    support a parallel drain and the clamped fan-out exceeds 1 (the
-    fan-out is reset to 1 first, so the heap stays usable). *)
-
-val gc_domains : t -> int
-(** The fan-out currently in force. *)
-
-val env_gc_domains : unit -> int option
-(** The [BELTWAY_GC_DOMAINS] environment default, if set and valid. *)
 
 val register_site : t -> name:string -> int
 (** Intern an allocation-site label (see {!State.register_site}):

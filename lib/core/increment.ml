@@ -133,18 +133,6 @@ let try_bump t ~size =
   let addr = bump_or_null t ~size in
   if addr = Addr.null then None else Some addr
 
-(* Roll back the most recent bump — the parallel collector's
-   lost-forwarding-race path, where a speculative copy must be
-   discarded. Sound only immediately after the matching
-   [bump_or_null], with no intervening allocation or frame grant in
-   this (domain-private) increment; the cursor check enforces that. *)
-let unbump t ~addr ~size =
-  if t.cursor <> addr + size then
-    invalid_arg "Increment.unbump: not the most recent allocation";
-  t.cursor <- addr;
-  t.words_used <- t.words_used - size;
-  t.objects <- t.objects - 1
-
 let seal t = t.sealed <- true
 
 (* ------------------------------------------------------------------ *)

@@ -93,13 +93,6 @@ val bump_or_null : t -> size:int -> Addr.t
     allocation does not fit. The allocation-free form the collector's
     copy loop and the mutator allocation path use. *)
 
-val unbump : t -> addr:Addr.t -> size:int -> unit
-(** Roll back the most recent {!bump_or_null} of [size] words at
-    [addr] — the parallel collector's lost-forwarding-race path. Only
-    valid immediately after the matching bump, with no intervening
-    allocation or frame grant in this increment.
-    @raise Invalid_argument if [addr + size] is not the cursor. *)
-
 val seal : t -> unit
 (** Close to further allocation (nursery handoff for the time-to-die
     trigger; plan membership seals too). *)

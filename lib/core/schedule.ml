@@ -18,17 +18,16 @@ let closure st (target : Increment.t) =
     (State.live_increments st)
 
 (* Evacuating the plan needs at most its own occupancy plus one
-   partially filled frame per destination belt per GC domain (each
-   domain of the parallel drain keeps a private open destination on
-   each belt); the copy reserve's pad guarantees this fits whenever
-   the plan is no larger than the reserve's potential. *)
+   partially filled frame per destination belt; the copy reserve's pad
+   guarantees this fits whenever the plan is no larger than the
+   reserve's potential. *)
 let feasible st plan =
   (* In-place strategies reclaim without destination frames: every
      plan is feasible (the whole point of running without a copy
      reserve). *)
   (not st.State.strategy.State.strategy_needs_reserve)
   || Collector.evacuation_frames plan
-     + (Array.length st.State.belts * st.State.gc_domains)
+     + Array.length st.State.belts
      <= State.free_frames st
 
 let choose_plan st ~reason =

@@ -1,20 +1,5 @@
 exception Out_of_memory of string
 
-(* Per-domain summary of one parallel collection, handed to the
-   [on_gc_domains] hook for the flight recorder: phase windows in the
-   recorder's clock (start, duration in us; zero when no clock is
-   installed) plus the domain's share of the copy work and its
-   work-stealing traffic. *)
-type par_report = {
-  pr_domain : int;
-  pr_phases : (Gc_stats.gc_phase * float * float) array;
-  pr_copied_objects : int;
-  pr_copied_words : int;
-  pr_scanned_slots : int;
-  pr_steals : int;
-  pr_cas_retries : int;
-}
-
 type hooks = {
   on_alloc : addr:Addr.t -> tib:Value.t -> nfields:int -> unit;
   on_write : obj:Addr.t -> field:int -> value:Value.t -> unit;
@@ -29,7 +14,6 @@ type hooks = {
   on_reserve : frames:int -> unit;
   on_trigger : reason:Gc_stats.reason -> unit;
   on_barrier_slow : entries:int -> unit;
-  on_gc_domains : reports:par_report array -> unit;
 }
 
 let noop_hooks =
@@ -47,33 +31,7 @@ let noop_hooks =
     on_reserve = (fun ~frames:_ -> ());
     on_trigger = (fun ~reason:_ -> ());
     on_barrier_slow = (fun ~entries:_ -> ());
-    on_gc_domains = (fun ~reports:_ -> ());
   }
-
-(* Per-domain scratch for the parallel collector, reused across
-   collections: a Chase–Lev grey deque, private destination increments
-   per belt, and buffers for the side effects that must replay on the
-   main domain after the drain (remset/card re-records and on_move
-   hook firings — neither the remset tables nor the hooks are
-   thread-safe). *)
-type par_domain = {
-  pd_stack : int Beltway_util.Vec.t; (* private grey stack, no atomics *)
-  pd_grey : Beltway_util.Deque.t; (* published surplus, steal target *)
-  mutable pd_delta : int; (* unflushed in-flight delta *)
-  pd_dests : Increment.t option array; (* private open dest per belt *)
-  mutable pd_opened : Increment.t list; (* dests this domain opened this GC *)
-  pd_remember : int Beltway_util.Vec.t; (* (slot, tgt frame) pairs *)
-  pd_moves : int Beltway_util.Vec.t; (* (src, dst) pairs, when hooks installed *)
-  mutable pd_copied_words : int;
-  mutable pd_copied_objects : int;
-  mutable pd_scanned_slots : int;
-  mutable pd_remset_slots : int;
-  mutable pd_roots_scanned : int;
-  mutable pd_steals : int;
-  mutable pd_cas_retries : int;
-  pd_phase_start : float array; (* roots / remset-or-cards / cheney *)
-  pd_phase_dur : float array;
-}
 
 (* The pluggable collector-policy layer. The record type lives here,
    not in [Policy], because its closures consume the very state that
@@ -142,16 +100,6 @@ type t = {
       (* survivors of the most recent full-heap collection; 0 = none
          yet. A cheap live-set statistic for diagnostics and tests. *)
   mutable hooks : hooks list;
-  mutable gc_domains : int;
-      (* domains a collection's drain fans out over; 1 = the
-         byte-identical sequential collector *)
-  gc_lock : Mutex.t;
-      (* serialises shared-structure mutation (increment creation,
-         frame grants and their hooks) during a parallel drain *)
-  mutable gc_par : par_domain array; (* parallel-drain scratch, grown on demand *)
-  mutable clock_us : unit -> float;
-      (* timestamp source for per-domain phase spans; returns 0 until
-         a flight recorder installs its clock *)
   mutable alloc_site : int;
       (* allocation-site id the next [on_alloc] firing is attributed
          to; 0 is the catch-all "unknown" site. Instrumented mutators
@@ -199,9 +147,6 @@ and strategy = {
   strategy_needs_reserve : bool;
       (** whether collections need destination frames up front (the
           schedule's feasibility test and the heap-full trigger) *)
-  strategy_parallel : bool;
-      (** whether the strategy supports the sharded [gc_domains > 1]
-          drain; non-parallel strategies are rejected at setup *)
   strategy_reserve : t -> int;
       (** reserve frames to hold back; the copying strategy delegates
           to the installed policy's rule verbatim *)
@@ -213,7 +158,6 @@ let copying_strategy =
     strategy_kind = Strategy_copying;
     strategy_moving = true;
     strategy_needs_reserve = true;
-    strategy_parallel = true;
     strategy_reserve = (fun st -> st.policy.reserve_frames st);
   }
 
@@ -286,46 +230,10 @@ let create ?(strategy = copying_strategy) ~config ~policy ~heap_frames
     gcs_this_alloc = 0;
     live_est_frames = 0;
     hooks = [];
-    gc_domains = 1;
-    gc_lock = Mutex.create ();
-    gc_par = [||];
-    clock_us = (fun () -> 0.);
     alloc_site = 0;
     site_names;
     site_ids;
   }
-
-let set_gc_domains t n =
-  t.gc_domains <- max 1 (min n Beltway_util.Team.max_size)
-
-let make_par_domain t =
-  {
-    pd_stack = Beltway_util.Vec.create ~dummy:0 ();
-    pd_grey = Beltway_util.Deque.create ~empty:Addr.null ();
-    pd_delta = 0;
-    pd_dests = Array.make (Array.length t.belts) None;
-    pd_opened = [];
-    pd_remember = Beltway_util.Vec.create ~dummy:0 ();
-    pd_moves = Beltway_util.Vec.create ~dummy:0 ();
-    pd_copied_words = 0;
-    pd_copied_objects = 0;
-    pd_scanned_slots = 0;
-    pd_remset_slots = 0;
-    pd_roots_scanned = 0;
-    pd_steals = 0;
-    pd_cas_retries = 0;
-    pd_phase_start = Array.make 3 0.;
-    pd_phase_dur = Array.make 3 0.;
-  }
-
-(* The first [n] per-domain scratch contexts, created on first use and
-   reused across collections. *)
-let par_domains t n =
-  let cur = Array.length t.gc_par in
-  if cur < n then
-    t.gc_par <-
-      Array.init n (fun i -> if i < cur then t.gc_par.(i) else make_par_domain t);
-  Array.sub t.gc_par 0 n
 
 let add_hooks t h = t.hooks <- t.hooks @ [ h ]
 let remove_hooks t h = t.hooks <- List.filter (fun h' -> h' != h) t.hooks
@@ -381,16 +289,6 @@ let register_inc t id inc =
   t.inc_by_id.(id) <- Some inc;
   t.live_incs <- t.live_incs + 1
 
-(* Pre-grow the id array so [register_inc] never swaps the array out
-   from under the parallel collector's lock-free forward path. *)
-let reserve_inc_ids t n =
-  let cap = Array.length t.inc_by_id in
-  if n > cap then begin
-    let arr = Array.make (max n (cap * 2)) None in
-    Array.blit t.inc_by_id 0 arr 0 cap;
-    t.inc_by_id <- arr
-  end
-
 let new_increment t ~belt =
   let id = t.next_inc_id in
   t.next_inc_id <- id + 1;
@@ -440,19 +338,18 @@ let open_inc t ~belt =
     inc
   | _ -> new_increment t ~belt
 
+let free_frame t inc frame =
+  Remset.drop_frame t.remsets frame;
+  Card_table.clear t.cards ~frame;
+  Frame_table.clear t.ftab ~frame;
+  Memory.free_frame t.mem frame;
+  t.frames_used <- t.frames_used - 1;
+  match t.hooks with
+  | [] -> ()
+  | hs -> List.iter (fun h -> h.on_frame_free ~frame ~belt:inc.Increment.belt) hs
+
 let free_increment t inc =
-  Beltway_util.Vec.iter
-    (fun frame ->
-      Remset.drop_frame t.remsets frame;
-      Card_table.clear t.cards ~frame;
-      Frame_table.clear t.ftab ~frame;
-      Memory.free_frame t.mem frame;
-      t.frames_used <- t.frames_used - 1;
-      match t.hooks with
-      | [] -> ()
-      | hs ->
-        List.iter (fun h -> h.on_frame_free ~frame ~belt:inc.Increment.belt) hs)
-    inc.Increment.frames;
+  Beltway_util.Vec.iter (free_frame t inc) inc.Increment.frames;
   Belt.remove t.belts.(inc.Increment.belt) inc;
   t.live_incs <- t.live_incs - 1;
   t.inc_by_id.(inc.Increment.id) <- None

@@ -14,22 +14,6 @@ exception Out_of_memory of string
     the analogue of a benchmark "failing to run" at a heap size in the
     paper's figures. *)
 
-type par_report = {
-  pr_domain : int;
-  pr_phases : (Gc_stats.gc_phase * float * float) array;
-      (** (phase, start, duration) per parallel phase, in the flight
-          recorder's microsecond clock (zeros when none is attached) *)
-  pr_copied_objects : int;
-  pr_copied_words : int;
-  pr_scanned_slots : int;
-  pr_steals : int;  (** grey objects taken from other domains' deques *)
-  pr_cas_retries : int;
-      (** forwarding races lost: speculative copies discarded after
-          another domain installed the forwarding pointer first *)
-}
-(** Per-domain summary of one parallel collection, reported through
-    [on_gc_domains]. *)
-
 type hooks = {
   on_alloc : addr:Addr.t -> tib:Value.t -> nfields:int -> unit;
       (** after an object is initialised (header + TIB written, fields
@@ -71,10 +55,6 @@ type hooks = {
   on_barrier_slow : entries:int -> unit;
       (** after a write-barrier slow path inserted a remembered-set
           entry; [entries] is the new remset total *)
-  on_gc_domains : reports:par_report array -> unit;
-      (** after a parallel collection's drain completes (before
-          [on_collect_end]): one {!par_report} per GC domain. Never
-          fired by the sequential collector. *)
 }
 (** Observation hooks for heap-analysis tools (the shadow-heap
     sanitizer, verification-every-n testing, the [Beltway_obs] flight
@@ -85,32 +65,6 @@ type hooks = {
 
 val noop_hooks : hooks
 (** All-no-op record, for [{ noop_hooks with ... }] updates. *)
-
-type par_domain = {
-  pd_stack : int Beltway_util.Vec.t;
-      (** private grey stack: the drain's hot path, no atomics *)
-  pd_grey : Beltway_util.Deque.t;
-      (** published surplus, stolen from by other domains *)
-  mutable pd_delta : int;
-      (** unflushed in-flight delta (+1 per grey push, -1 per scan),
-          batched into the shared counter at steal boundaries *)
-  pd_dests : Increment.t option array;
-  mutable pd_opened : Increment.t list;
-  pd_remember : int Beltway_util.Vec.t;
-  pd_moves : int Beltway_util.Vec.t;
-  mutable pd_copied_words : int;
-  mutable pd_copied_objects : int;
-  mutable pd_scanned_slots : int;
-  mutable pd_remset_slots : int;
-  mutable pd_roots_scanned : int;
-  mutable pd_steals : int;
-  mutable pd_cas_retries : int;
-  pd_phase_start : float array;
-  pd_phase_dur : float array;
-}
-(** Per-domain scratch for the parallel collector (grey deque, private
-    destination increments, replay buffers, counters), reused across
-    collections. Owned by [Collector]; exposed for white-box tests. *)
 
 (** {2 The policy layer}
 
@@ -191,6 +145,9 @@ type t = {
   mutable seq : int; (** stamp sequence counter *)
   mutable epoch : int; (** epoch for [Epoch] stamp mode (BOF flips) *)
   mutable in_gc : bool;
+      (** set for the length of a collection by [Collector.collect];
+          still set afterwards only if that collection raised part-way,
+          which marks the heap as abandoned *)
   mutable gcs_this_alloc : int; (** cascade guard *)
   mutable live_est_frames : int;
       (** survivors of the most recent full-heap collection (0 before
@@ -199,18 +156,6 @@ type t = {
       (** installed observation hooks; empty in the common case, and
           the dispatch sites are a single [match] away from free when
           it is *)
-  mutable gc_domains : int;
-      (** domains each collection's drain fans out over (set through
-          {!set_gc_domains}); 1 selects the sequential collector,
-          byte-identical to the pre-parallel implementation *)
-  gc_lock : Mutex.t;
-      (** serialises shared-structure mutation (increment creation,
-          frame grants, and their hooks) during a parallel drain *)
-  mutable gc_par : par_domain array;
-      (** parallel-drain scratch, grown on demand by {!par_domains} *)
-  mutable clock_us : unit -> float;
-      (** timestamp source for per-domain phase spans; returns 0 until
-          a flight recorder installs its clock *)
   mutable alloc_site : int;
       (** allocation-site id the next [on_alloc] firing is attributed
           to; 0 is the catch-all "unknown" site. Instrumented mutators
@@ -256,9 +201,6 @@ and strategy = {
   strategy_needs_reserve : bool;
       (** whether collections need destination frames up front (the
           schedule's feasibility test and the heap-full trigger) *)
-  strategy_parallel : bool;
-      (** whether the strategy supports the sharded [gc_domains > 1]
-          drain; non-parallel strategies are rejected at setup *)
   strategy_reserve : t -> int;
       (** reserve frames to hold back; the copying strategy delegates
           to the installed policy's rule verbatim *)
@@ -266,8 +208,8 @@ and strategy = {
 
 val copying_strategy : strategy
 (** The Cheney-evacuation strategy: exactly the pre-strategy collector
-    (its reserve rule is the installed policy's, its drain the
-    untouched sequential/parallel copy loop), so every pre-strategy
+    (its reserve rule is the installed policy's, its kernel the
+    Cheney copy loop), so every pre-strategy
     configuration behaves byte-identically. *)
 
 val add_hooks : t -> hooks -> unit
@@ -306,15 +248,6 @@ val create :
     @raise Invalid_argument on a configuration that fails
     [Config.validate]. *)
 
-val set_gc_domains : t -> int -> unit
-(** Set the number of domains future collections fan out over (clamped
-    to [1, Beltway_util.Team.max_size]). Takes effect at the next
-    collection. *)
-
-val par_domains : t -> int -> par_domain array
-(** The first [n] per-domain scratch contexts, created on first use
-    and reused across collections. *)
-
 val heap_words : t -> int
 val free_frames : t -> int
 val total_increments : t -> int
@@ -334,11 +267,6 @@ val dest_belt : t -> int -> int
 val new_increment : t -> belt:int -> Increment.t
 (** Create an empty increment at the back of the belt. *)
 
-val reserve_inc_ids : t -> int -> unit
-(** Pre-grow the id -> increment array to hold at least [n] ids, so
-    increments opened while worker domains read the array without the
-    lock never swap its backing array. *)
-
 val grant_frame : t -> Increment.t -> during_gc:bool -> unit
 (** Give the increment one more frame, charging the budget and stamping
     the frame. @raise Out_of_memory when the budget is exhausted (the
@@ -351,9 +279,14 @@ val open_inc : t -> belt:int -> Increment.t
     is not in the current plan (its [in_plan] flag); otherwise a fresh
     increment. *)
 
+val free_frame : t -> Increment.t -> int -> unit
+(** Return one frame of the increment to the memory substrate, dropping
+    its frame metadata, cards and the remsets relating to it; the
+    increment's own frame list is the caller's to update. *)
+
 val free_increment : t -> Increment.t -> unit
-(** Release a collected increment: frames returned, frame metadata and
-    remsets relating to its frames dropped, removed from its belt. *)
+(** Release a collected increment: {!free_frame} on each of its frames,
+    then removed from its belt. *)
 
 val inc_of_frame : t -> int -> Increment.t option
 (** Owning increment of a frame, if any. *)

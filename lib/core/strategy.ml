@@ -14,7 +14,6 @@ let marksweep =
     strategy_kind = State.Strategy_marksweep;
     strategy_moving = false;
     strategy_needs_reserve = false;
-    strategy_parallel = false;
     strategy_reserve = (fun _ -> 0);
   }
 
@@ -26,7 +25,6 @@ let markcompact =
        slide), so no destination frames are reserved. *)
     strategy_moving = true;
     strategy_needs_reserve = false;
-    strategy_parallel = false;
     strategy_reserve = (fun _ -> 0);
   }
 
@@ -47,7 +45,7 @@ let infos =
       summary =
         "Cheney evacuation into fresh destination increments (the paper's \
          collector; the default — byte-identical to the pre-strategy \
-         implementation, parallel drain supported)";
+         implementation)";
       exemplar_config = "25.25.100";
     };
     {
@@ -103,14 +101,3 @@ let resolve_exn cfg =
   match resolve cfg with
   | Ok s -> s
   | Error e -> invalid_arg ("Strategy.resolve: " ^ e)
-
-(* ---- parallel-drain compatibility ---------------------------------- *)
-
-let check_domains (s : State.strategy) ~gc_domains =
-  if gc_domains <= 1 || s.State.strategy_parallel then Ok ()
-  else
-    Error
-      (Printf.sprintf
-         "strategy %s does not support a parallel drain (--gc-domains %d); \
-          use --gc-domains 1 or the copying strategy"
-         s.State.strategy_name gc_domains)

@@ -58,9 +58,3 @@ val resolve : Config.t -> (State.strategy, string) result
 
 val resolve_exn : Config.t -> State.strategy
 (** {!resolve}, raising [Invalid_argument] on an unknown name. *)
-
-val check_domains : State.strategy -> gc_domains:int -> (unit, string) result
-(** Whether the strategy supports sharding collections over
-    [gc_domains] domains; [Error message] for a non-parallel strategy
-    asked to run with [gc_domains > 1]. [Gc.create] and
-    [Gc.set_gc_domains] enforce it. *)

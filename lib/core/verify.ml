@@ -150,6 +150,9 @@ let check gc =
      detection, not a checker failure. *)
   try
     let st = Gc.state gc in
+    (* An abandoned collection explains every symptom below it
+       (forwarded objects, stale in-plan bits): report it first. *)
+    let* () = match Collector.abandoned st with Some m -> Error m | None -> Ok () in
     let* () = check_roots st in
     let* () = check_belt_fifo st in
     let* () = check_frames st in

@@ -4,6 +4,8 @@
     collector relies on; it is run by the test suite after interleaved
     mutation and collection under every configuration. Checks:
 
+    - no collection was abandoned part-way by [Out_of_memory]
+      (reported first, since it explains any symptom below);
     - every root reference points at a well-formed, non-forwarded
       object in a frame owned by a live increment (or the boot space);
     - every reference field of every increment-resident object does

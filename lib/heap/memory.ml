@@ -12,7 +12,6 @@ type t = {
   free_list : int Beltway_util.Vec.t; (* recycled frame indices *)
   mutable next_fresh : int; (* next never-used frame index *)
   mutable live : int;
-  cas_locks : bool Atomic.t array; (* address-striped spinlocks for cas_word *)
   mutable marks : Bytes.t;
       (* side mark bitmap: one bit per word, indexed by address. Empty
          until a marking strategy calls [ensure_marks]; grown alongside
@@ -30,14 +29,6 @@ let checks_enabled =
 
 let alloc_flat words : flat = A1.create Bigarray.int Bigarray.c_layout words
 
-(* Stripe count for {!cas_word}: enough that two domains forwarding
-   distinct objects rarely share a lock, small enough to sit in
-   cache. Live stripes are spaced [cas_stride] slots apart so the
-   boxed atomics (allocated consecutively) land on distinct cache
-   lines instead of false-sharing four to a line. *)
-let cas_stripes = 1024
-let cas_stride = 8
-
 let create ~frame_log_words ~max_frames =
   if frame_log_words < 4 then invalid_arg "Memory.create: frame_log_words < 4";
   if max_frames < 1 then invalid_arg "Memory.create: max_frames < 1";
@@ -52,7 +43,6 @@ let create ~frame_log_words ~max_frames =
     free_list = Beltway_util.Vec.create ~dummy:0 ();
     next_fresh = 1 (* frame 0 reserved: address 0 is null *);
     live = 0;
-    cas_locks = Array.init (cas_stripes * cas_stride) (fun _ -> Atomic.make false);
     marks = Bytes.empty;
   }
 
@@ -243,32 +233,6 @@ let fill t ~dst ~len v =
       done
     else A1.fill (A1.sub t.flat dst len) v
   end
-
-(* Pre-grow the backing (and liveness bitmap) so that the next [n]
-   fresh-frame allocations cannot replace [t.flat] or [t.liveness].
-   The parallel collector calls this before fanning out: worker domains
-   read the backing without synchronisation, which is only sound while
-   the arrays are never swapped under them. *)
-let reserve_fresh t ~frames =
-  if frames < 0 then invalid_arg "Memory.reserve_fresh: negative frame count";
-  grow_backing t (t.next_fresh + frames)
-
-(* Word-granularity compare-and-set, emulated over the bigarray with
-   address-striped spinlocks (OCaml exposes no native bigarray CAS).
-   Returns the previous value: equal to [expect] iff the store
-   happened. Only contending [cas_word] calls are mutually excluded —
-   plain loads of the same word may observe either value, which the
-   collector's forwarding protocol tolerates by construction (a stale
-   "unforwarded" read just loses the subsequent CAS). *)
-let cas_word t a ~expect ~desired =
-  let lock = Array.unsafe_get t.cas_locks ((a land (cas_stripes - 1)) * cas_stride) in
-  while not (Atomic.compare_and_set lock false true) do
-    Domain.cpu_relax ()
-  done;
-  let prev = A1.unsafe_get t.flat a in
-  if prev = expect then A1.unsafe_set t.flat a desired;
-  Atomic.set lock false;
-  prev
 
 let frame_base t idx = idx lsl t.frame_log
 let addr_frame t a = a lsr t.frame_log

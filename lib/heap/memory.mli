@@ -101,20 +101,6 @@ val fill : t -> dst:Addr.t -> len:int -> int -> unit
 (** Block store of [len] copies of a word. Same constraints as
     {!blit}. *)
 
-val reserve_fresh : t -> frames:int -> unit
-(** Grow the backing store now so that the next [frames] fresh-frame
-    allocations are guaranteed not to reallocate it. The parallel
-    collector calls this before fanning out, because worker domains
-    read the backing unsynchronised and the arrays must not be swapped
-    under them. @raise Invalid_argument on a negative count. *)
-
-val cas_word : t -> Addr.t -> expect:int -> desired:int -> int
-(** Atomic compare-and-set of the word at an address, emulated with
-    address-striped spinlocks: stores [desired] iff the word equals
-    [expect], and returns the previous value either way (equal to
-    [expect] iff the store happened). Safe from any domain; plain
-    loads racing with it may return either value. *)
-
 val frame_base : t -> int -> Addr.t
 (** Address of word 0 of a frame. *)
 

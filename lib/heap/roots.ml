@@ -99,24 +99,6 @@ let iter_update t f =
     t.stack.(i) <- f t.stack.(i)
   done
 
-(* Strided shard of [iter_update] over the combined (globals ++ stack)
-   index space: shard [index] of [stride] updates every slot whose
-   combined index is congruent to [index]. Distinct shards touch
-   disjoint slots, so the parallel collector runs one shard per domain
-   with no synchronisation. *)
-let iter_update_shard t ~index ~stride f =
-  if index < 0 || stride < 1 || index >= stride then
-    invalid_arg "Roots.iter_update_shard";
-  let g = t.global_count in
-  let n = g + t.sp in
-  let k = ref index in
-  while !k < n do
-    let i = !k in
-    if i < g then t.globals.(i) <- f t.globals.(i)
-    else t.stack.(i - g) <- f t.stack.(i - g);
-    k := !k + stride
-  done
-
 let iter t f =
   for i = 0 to t.global_count - 1 do
     f t.globals.(i)

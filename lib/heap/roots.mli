@@ -58,12 +58,5 @@ val iter_update : t -> (Value.t -> Value.t) -> unit
 (** Apply a forwarding function to every slot (globals then stack),
     storing the result back. The collector's root-scan entry point. *)
 
-val iter_update_shard : t -> index:int -> stride:int -> (Value.t -> Value.t) -> unit
-(** Shard [index] of [stride] of {!iter_update}: updates every slot
-    whose combined (globals then stack) index is congruent to [index]
-    modulo [stride]. Shards touch disjoint slots, so the parallel
-    collector runs one per domain concurrently.
-    @raise Invalid_argument unless [0 <= index < stride]. *)
-
 val iter : t -> (Value.t -> unit) -> unit
 (** Read-only traversal (used by the reachability oracle). *)

@@ -3,14 +3,11 @@ module Gc_stats = Beltway.Gc_stats
 module State = Beltway.State
 
 (* Track layout: tid 0 is the mutator (collection pauses and their
-   phase spans preempt the mutator, so they render there), tid 1+b is
-   belt b (frame grants/frees and belt advances, so per-belt heap
-   churn is visible as its own track), and tid 64+d is GC domain d's
-   share of each parallel collection (64 clears every belt track:
-   belts are bounded well below it by configuration parsing). *)
+   phase spans preempt the mutator, so they render there), and tid 1+b
+   is belt b (frame grants/frees and belt advances, so per-belt heap
+   churn is visible as its own track). *)
 let mutator_tid = 0
 let belt_tid b = b + 1
-let gc_domain_tid d = 64 + d
 
 let num i = Json.Num (float_of_int i)
 
@@ -34,44 +31,17 @@ let span ~pid ~tid ~name ~cat ~ts ~dur args =
   common ~pid ~tid ~name ~cat ~ph:"X" ~ts
     [ ("dur", Json.Num dur); ("args", Json.Obj args) ]
 
-(* One recorder event can expand to several trace events (a parallel
-   collection report becomes one span per phase on the domain's
-   track), so this returns a list. *)
 let event_json ~pid (e : Recorder.event) =
   match e with
-  | Recorder.Gc_domain d ->
-    let counters =
-      [
-        ("gc", num d.n);
-        ("copied_objects", num d.copied_objects);
-        ("copied_words", num d.copied_words);
-        ("scanned_slots", num d.scanned_slots);
-        ("steals", num d.steals);
-        ("cas_retries", num d.cas_retries);
-      ]
-    in
-    Array.to_list d.phases
-    |> List.filter_map (fun (phase, start_us, dur_us) ->
-           if dur_us <= 0.0 && phase <> Gc_stats.Phase_cheney then None
-           else
-             Some
-               (span ~pid ~tid:(gc_domain_tid d.domain)
-                  ~name:(Gc_stats.phase_to_string phase)
-                  ~cat:"gc.domain" ~ts:start_us ~dur:dur_us
-                  (* Counters ride on the Cheney span (the drain is
-                     where copies, steals and CAS races happen). *)
-                  (if phase = Gc_stats.Phase_cheney then counters
-                   else [ ("gc", num d.n) ])))
   | Recorder.Collection c ->
     let label =
       Gc_stats.reason_to_string c.reason
       ^ if c.emergency then "-emergency" else ""
     in
-    [
-      span ~pid ~tid:mutator_tid
-        ~name:(Printf.sprintf "GC %d (%s)" c.n label)
-        ~cat:"gc" ~ts:c.start_us ~dur:c.dur_us
-        [
+    span ~pid ~tid:mutator_tid
+      ~name:(Printf.sprintf "GC %d (%s)" c.n label)
+      ~cat:"gc" ~ts:c.start_us ~dur:c.dur_us
+      [
         ("reason", Json.Str (Gc_stats.reason_to_string c.reason));
         ("emergency", Json.Bool c.emergency);
         ("full_heap", Json.Bool c.full_heap);
@@ -79,47 +49,34 @@ let event_json ~pid (e : Recorder.event) =
         ("clock_words", num c.clock_words);
         ("copied_words", num c.copied_words);
         ("freed_frames", num c.freed_frames);
-          ("frames_after", num c.frames_after);
-          ("reserve_frames", num c.reserve_frames);
-        ];
-    ]
+        ("frames_after", num c.frames_after);
+        ("reserve_frames", num c.reserve_frames);
+      ]
   | Recorder.Phase p ->
-    [
-      span ~pid ~tid:mutator_tid
-        ~name:(Gc_stats.phase_to_string p.phase)
-        ~cat:"gc.phase" ~ts:p.start_us ~dur:p.dur_us
-        [ ("gc", num p.n) ];
-    ]
+    span ~pid ~tid:mutator_tid
+      ~name:(Gc_stats.phase_to_string p.phase)
+      ~cat:"gc.phase" ~ts:p.start_us ~dur:p.dur_us
+      [ ("gc", num p.n) ]
   | Recorder.Frame_grant f ->
-    [
-      instant ~pid ~tid:(belt_tid f.belt) ~name:"frame grant" ~cat:"frame"
-        ~ts:f.t_us
-        [ ("frame", num f.frame); ("during_gc", Json.Bool f.during_gc) ];
-    ]
+    instant ~pid ~tid:(belt_tid f.belt) ~name:"frame grant" ~cat:"frame"
+      ~ts:f.t_us
+      [ ("frame", num f.frame); ("during_gc", Json.Bool f.during_gc) ]
   | Recorder.Frame_free f ->
-    [
-      instant ~pid ~tid:(belt_tid f.belt) ~name:"frame free" ~cat:"frame"
-        ~ts:f.t_us
-        [ ("frame", num f.frame) ];
-    ]
+    instant ~pid ~tid:(belt_tid f.belt) ~name:"frame free" ~cat:"frame"
+      ~ts:f.t_us
+      [ ("frame", num f.frame) ]
   | Recorder.Belt_advance b ->
-    [
-      instant ~pid ~tid:(belt_tid b.belt) ~name:"belt advance" ~cat:"belt"
-        ~ts:b.t_us
-        [ ("inc", num b.inc_id); ("stamp", num b.stamp) ];
-    ]
+    instant ~pid ~tid:(belt_tid b.belt) ~name:"belt advance" ~cat:"belt"
+      ~ts:b.t_us
+      [ ("inc", num b.inc_id); ("stamp", num b.stamp) ]
   | Recorder.Reserve r ->
-    [
-      common ~pid ~tid:mutator_tid ~name:"copy reserve" ~cat:"reserve" ~ph:"C"
-        ~ts:r.t_us
-        [ ("args", Json.Obj [ ("frames", num r.frames) ]) ];
-    ]
+    common ~pid ~tid:mutator_tid ~name:"copy reserve" ~cat:"reserve" ~ph:"C"
+      ~ts:r.t_us
+      [ ("args", Json.Obj [ ("frames", num r.frames) ]) ]
   | Recorder.Trigger_fired tr ->
-    [
-      instant ~pid ~tid:mutator_tid
-        ~name:("trigger " ^ Gc_stats.reason_to_string tr.reason)
-        ~cat:"trigger" ~ts:tr.t_us [];
-    ]
+    instant ~pid ~tid:mutator_tid
+      ~name:("trigger " ^ Gc_stats.reason_to_string tr.reason)
+      ~cat:"trigger" ~ts:tr.t_us []
 
 let meta ~pid ~tid ~kind name =
   Json.Obj
@@ -140,21 +97,13 @@ let track_meta ~pid ~process_name rec_ =
   in
   meta ~pid ~tid:mutator_tid ~kind:"process_name" process_name
   :: meta ~pid ~tid:mutator_tid ~kind:"thread_name" "mutator"
-  :: (List.init
-        (Array.length st.State.belts)
-        (fun b -> meta ~pid ~tid:(belt_tid b) ~kind:"thread_name" (belt_name b))
-     @
-     (* One named track per GC domain when collections are sharded. *)
-     if st.State.gc_domains > 1 then
-       List.init st.State.gc_domains (fun d ->
-           meta ~pid ~tid:(gc_domain_tid d) ~kind:"thread_name"
-             (Printf.sprintf "gc domain %d" d))
-     else [])
+  :: List.init
+       (Array.length st.State.belts)
+       (fun b -> meta ~pid ~tid:(belt_tid b) ~kind:"thread_name" (belt_name b))
 
 let events_json ?(pid = 1) ?(process_name = "beltway") rec_ =
   let evs = ref [] in
-  Recorder.iter_events rec_ (fun e ->
-      evs := List.rev_append (event_json ~pid e) !evs);
+  Recorder.iter_events rec_ (fun e -> evs := event_json ~pid e :: !evs);
   track_meta ~pid ~process_name rec_ @ List.rev !evs
 
 let wrap traceEvents =

@@ -27,16 +27,6 @@ type event =
   | Belt_advance of { t_us : float; belt : int; inc_id : int; stamp : int }
   | Reserve of { t_us : float; frames : int }
   | Trigger_fired of { t_us : float; reason : Gc_stats.reason }
-  | Gc_domain of {
-      n : int;
-      domain : int;
-      phases : (Gc_stats.gc_phase * float * float) array;
-      copied_objects : int;
-      copied_words : int;
-      scanned_slots : int;
-      steals : int;
-      cas_retries : int;
-    }
 
 let default_capacity = 1 lsl 16
 
@@ -52,8 +42,6 @@ type t = {
   mutable open_phase_start : float;
   mutable last_pause_end_us : float; (* < 0 before the first pause *)
   mutable hooks : State.hooks option;
-  mutable saved_clock : (unit -> float) option;
-      (* heap clock in force before attach, restored on detach *)
 }
 
 let now_us t = (Unix.gettimeofday () -. t.t0) *. 1e6
@@ -153,15 +141,9 @@ let attach ?(capacity = default_capacity) gc =
       open_phase_start = 0.0;
       last_pause_end_us = -1.0;
       hooks = None;
-      saved_clock = None;
     }
   in
   let st = Beltway.Gc.state gc in
-  (* The parallel collector stamps per-domain phase windows with the
-     heap's clock; point it at the recorder's timebase so those
-     windows land on the same axis as every other event. *)
-  t.saved_clock <- Some st.State.clock_us;
-  st.State.clock_us <- (fun () -> now_us t);
   (* Phases fire inside a collection, before its record is pushed, so
      the in-flight collection's ordinal is one past the completed
      count. *)
@@ -216,34 +198,6 @@ let attach ?(capacity = default_capacity) gc =
         (fun ~entries ->
           Metrics.incr t.metrics "barrier.slow";
           Metrics.set_gauge t.metrics "remset.entries" (float_of_int entries));
-      on_gc_domains =
-        (fun ~reports ->
-          (* Fired after the collection's record is pushed, so the
-             completed count is this collection's ordinal. *)
-          let n = Gc_stats.gcs st.State.stats in
-          Metrics.set_gauge t.metrics "gc.domains"
-            (float_of_int (Array.length reports));
-          Array.iter
-            (fun (r : State.par_report) ->
-              Ring.push t.ring
-                (Gc_domain
-                   {
-                     n;
-                     domain = r.State.pr_domain;
-                     phases = r.State.pr_phases;
-                     copied_objects = r.State.pr_copied_objects;
-                     copied_words = r.State.pr_copied_words;
-                     scanned_slots = r.State.pr_scanned_slots;
-                     steals = r.State.pr_steals;
-                     cas_retries = r.State.pr_cas_retries;
-                   });
-              Metrics.incr ~by:r.State.pr_steals t.metrics "gc.par.steals";
-              Metrics.incr ~by:r.State.pr_cas_retries t.metrics
-                "gc.par.cas_retries";
-              Metrics.observe t.metrics ~bucket_width:copied_bytes_width
-                (Printf.sprintf "gc.domain.%d.copied_bytes" r.State.pr_domain)
-                (float_of_int (r.State.pr_copied_words * Addr.bytes_per_word)))
-            reports);
     }
   in
   State.add_hooks st hooks;
@@ -256,28 +210,7 @@ let detach t =
   | Some h ->
     let st = Beltway.Gc.state t.gc in
     State.remove_hooks st h;
-    (match t.saved_clock with
-    | Some c ->
-      st.State.clock_us <- c;
-      t.saved_clock <- None
-    | None -> ());
     t.hooks <- None
-
-let domain_copied_bytes t =
-  (* Per-domain copy histograms merged into one distribution; domains
-     are dense from 0, so walk until the first absent name. *)
-  let rec go d acc =
-    match
-      Metrics.histogram t.metrics (Printf.sprintf "gc.domain.%d.copied_bytes" d)
-    with
-    | None -> acc
-    | Some h ->
-      go (d + 1)
-        (match acc with
-        | None -> Some h
-        | Some m -> Some (Beltway_util.Histogram.merge m h))
-  in
-  go 0 None
 
 let gc t = t.gc
 let metrics t = t.metrics

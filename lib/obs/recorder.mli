@@ -41,20 +41,6 @@ type event =
   | Reserve of { t_us : float; frames : int }
       (** copy reserve sampled at the end of a collection *)
   | Trigger_fired of { t_us : float; reason : Beltway.Gc_stats.reason }
-  | Gc_domain of {
-      n : int;  (** ordinal of the enclosing collection *)
-      domain : int;
-      phases : (Beltway.Gc_stats.gc_phase * float * float) array;
-          (** (phase, start_us, dur_us): this domain's share of the
-              roots, remset/card and Cheney phases *)
-      copied_objects : int;
-      copied_words : int;
-      scanned_slots : int;
-      steals : int;  (** grey objects taken from other domains' deques *)
-      cas_retries : int;  (** forwarding races lost (copy discarded) *)
-    }
-      (** one GC domain's contribution to a parallel collection
-          ([gc_domains] > 1 only) *)
 
 type t
 
@@ -91,11 +77,6 @@ val pause_durs_us : t -> float array
 (** Wall-clock duration of every recorded pause, in collection order —
     the recorded timeline [Beltway_sim.Mmu.crosscheck] compares against
     the cost-model reconstruction. *)
-
-val domain_copied_bytes : t -> Beltway_util.Histogram.t option
-(** The per-domain [gc.domain.<d>.copied_bytes] histograms merged into
-    one distribution (via [Histogram.merge]); [None] when every
-    recorded collection was sequential. *)
 
 val env_file : unit -> string option
 (** [$BELTWAY_TRACE]: the trace output file requested by the

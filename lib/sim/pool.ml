@@ -6,13 +6,11 @@
    *when* each task runs. [map] therefore returns results in input
    order and is observationally identical at any job count.
 
-   The queue machinery lives in [Beltway_util.Team] (shared with the
-   parallel collector's intra-collection fan-out): Mutex+Condition
+   The queue machinery lives in [Beltway_util.Team]: Mutex+Condition
    task queue, lazily spawned workers, and a submitting domain that
    participates in draining, so a pool of [jobs] keeps exactly [jobs]
    domains busy ([jobs - 1] spawned workers plus the caller). Nested
-   parallel maps — including a parallel *collection* triggered inside a
-   pool task — downgrade to sequential execution via the team's
+   parallel maps downgrade to sequential execution via the team's
    domain-local worker flag. *)
 
 module Team = Beltway_util.Team

@@ -39,27 +39,23 @@ let run_on gc ~model ~bench ~config ~heap_frames =
     total_time = Cost_model.total_time model stats;
   }
 
-let make_gc ?gc_domains ~config ~heap_frames () =
-  Beltway.Gc.create ~frame_log_words ?gc_domains ~config
+let make_gc ~config ~heap_frames () =
+  Beltway.Gc.create ~frame_log_words ~config
     ~heap_bytes:(heap_frames * frame_bytes) ()
 
-let run_one ?(model = Cost_model.default) ?gc_domains ~bench ~config
-    ~heap_frames () =
-  run_on
-    (make_gc ?gc_domains ~config ~heap_frames ())
-    ~model ~bench ~config ~heap_frames
+let run_one ?(model = Cost_model.default) ~bench ~config ~heap_frames () =
+  run_on (make_gc ~config ~heap_frames ()) ~model ~bench ~config ~heap_frames
 
-let run_traced ?(model = Cost_model.default) ?capacity ?gc_domains ~bench
-    ~config ~heap_frames () =
-  let gc = make_gc ?gc_domains ~config ~heap_frames () in
+let run_traced ?(model = Cost_model.default) ?capacity ~bench ~config
+    ~heap_frames () =
+  let gc = make_gc ~config ~heap_frames () in
   let recorder = Beltway_obs.Recorder.attach ?capacity gc in
   let result = run_on gc ~model ~bench ~config ~heap_frames in
   Beltway_obs.Recorder.detach recorder;
   (result, recorder)
 
-let run_profiled ?(model = Cost_model.default) ?gc_domains ~bench ~config
-    ~heap_frames () =
-  let gc = make_gc ?gc_domains ~config ~heap_frames () in
+let run_profiled ?(model = Cost_model.default) ~bench ~config ~heap_frames () =
+  let gc = make_gc ~config ~heap_frames () in
   let profiler = Beltway_obs.Profiler.attach gc in
   let result = run_on gc ~model ~bench ~config ~heap_frames in
   Beltway_obs.Profiler.detach profiler;
@@ -137,7 +133,7 @@ let multipliers ~full =
 let heap_ladder ~min_frames ~mults =
   List.map (fun m -> max 4 (int_of_float (Float.round (float_of_int min_frames *. m)))) mults
 
-let sweep ?model ?pool ?gc_domains ~bench ~config ~heaps () =
+let sweep ?model ?pool ~bench ~config ~heaps () =
   Pool.map ?pool
-    (fun heap_frames -> run_one ?model ?gc_domains ~bench ~config ~heap_frames ())
+    (fun heap_frames -> run_one ?model ~bench ~config ~heap_frames ())
     heaps

@@ -31,20 +31,17 @@ val frame_bytes : int
 
 val run_one :
   ?model:Cost_model.t ->
-  ?gc_domains:int ->
   bench:Beltway_workload.Spec.t ->
   config:Config.t ->
   heap_frames:int ->
   unit ->
   result
-(** [gc_domains] shards each collection of this run over that many
-    domains (default: the [BELTWAY_GC_DOMAINS] environment variable,
-    else sequential). *)
+(** One run of the benchmark at [heap_frames]; an [Out_of_memory] ends
+    it as not completed. *)
 
 val run_traced :
   ?model:Cost_model.t ->
   ?capacity:int ->
-  ?gc_domains:int ->
   bench:Beltway_workload.Spec.t ->
   config:Config.t ->
   heap_frames:int ->
@@ -57,7 +54,6 @@ val run_traced :
 
 val run_profiled :
   ?model:Cost_model.t ->
-  ?gc_domains:int ->
   bench:Beltway_workload.Spec.t ->
   config:Config.t ->
   heap_frames:int ->
@@ -97,7 +93,6 @@ val heap_ladder : min_frames:int -> mults:float list -> int list
 val sweep :
   ?model:Cost_model.t ->
   ?pool:Pool.t ->
-  ?gc_domains:int ->
   bench:Beltway_workload.Spec.t ->
   config:Config.t ->
   heaps:int list ->

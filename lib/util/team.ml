@@ -1,19 +1,16 @@
 (* A fixed-size team of worker domains draining a shared task queue.
 
-   This is the engine behind both [Beltway_sim.Pool] (embarrassingly
-   parallel figure sweeps) and the parallel collector's intra-collection
-   fan-out: a Mutex+Condition queue of thunks, [size - 1] spawned
-   domains, and a submitting domain that always participates in
-   draining, so a team of [size] keeps exactly [size] domains busy.
+   This is the engine behind [Beltway_sim.Pool] (embarrassingly
+   parallel figure sweeps): a Mutex+Condition queue of thunks,
+   [size - 1] spawned domains, and a submitting domain that always
+   participates in draining, so a team of [size] keeps exactly [size]
+   domains busy.
 
    Nesting: a domain-local flag marks every team worker (and every
-   domain currently helping a [run]), and any nested submission
+   domain currently helping a [map]), and any nested submission
    downgrades to sequential execution on the caller. The queue has no
    dependency tracking, so this is what keeps nested fan-outs both
-   deadlock-free and cheap to reason about; the parallel collector's
-   drain tasks are self-sufficient (any one of them can finish the
-   whole drain via stealing), so a degraded sequential execution is
-   still correct, just serial. *)
+   deadlock-free and cheap to reason about. *)
 
 type t = {
   size : int;
@@ -147,14 +144,3 @@ let map t f xs =
     Array.to_list
       (Array.map (function Some r -> r | None -> assert false) results)
   end
-
-let run t ~domains f =
-  let domains = max 1 domains in
-  let first_error = Atomic.make None in
-  let tasks =
-    List.init domains (fun i () ->
-        try f i
-        with e -> ignore (Atomic.compare_and_set first_error None (Some e)))
-  in
-  run_all t tasks;
-  match Atomic.get first_error with Some e -> raise e | None -> ()

@@ -1,14 +1,13 @@
 (** A fixed-size team of OCaml 5 domains draining a shared task queue.
 
-    The engine behind both the harness pool ([Beltway_sim.Pool]) and
-    the parallel collector's intra-collection fan-out. The submitting
+    The engine behind the harness pool ([Beltway_sim.Pool]). The submitting
     domain always participates in draining, so a team of [size] keeps
     exactly [size] domains busy ([size - 1] spawned workers plus the
     caller). Worker domains are spawned lazily on the first parallel
     submission and joined by {!shutdown}.
 
     Nested submissions (from a worker, or from a domain currently
-    helping another {!run}/{!map}) downgrade to sequential execution
+    helping another {!map}) downgrade to sequential execution
     on the caller — the queue has no dependency tracking, and this is
     what makes nesting deadlock-free. *)
 
@@ -31,12 +30,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     singleton list, or from inside a worker, this is exactly
     [List.map f xs] on the calling domain. If any application raises,
     one such exception is re-raised after all tasks finish. *)
-
-val run : t -> domains:int -> (int -> unit) -> unit
-(** [run t ~domains f] runs [f 0 .. f (domains - 1)] to completion, up
-    to [size] concurrently (sequentially under the same conditions as
-    {!map}). If any [f i] raises, one such exception is re-raised
-    after all finish. *)
 
 val shutdown : t -> unit
 (** Stop and join the team's workers; the team restarts lazily if used

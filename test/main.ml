@@ -23,5 +23,4 @@ let () =
       ("sim", Test_sim.suite);
       ("obs", Test_obs.suite);
       ("profiler", Test_profiler.suite);
-      ("parallel gc", Test_parallel_gc.suite);
     ]

@@ -420,9 +420,52 @@ let test_verify_detects_accounting_drift () =
   st.Beltway.State.frames_used <- st.Beltway.State.frames_used - 1;
   checkb "restored state passes" true (Result.is_ok (Beltway.Verify.check gc))
 
+(* A collection that raises Out_of_memory part-way (the copy reserve
+   proved too small for the actual survivors) leaves forwarded objects
+   in from-space. The heap must then refuse every further collection
+   with a message naming the abandoned one, and the verifier must
+   report that condition before any of its symptoms. *)
+let test_abandoned_heap_refuses_collection () =
+  let config = Result.get_ok (Config.parse "25.25.100") in
+  let gc = Gc.create ~config ~heap_bytes:(256 * 1024) () in
+  let ty = Gc.register_type gc ~name:"t" in
+  let roots = Gc.roots gc in
+  let head = Roots.new_global roots Value.null in
+  let oom =
+    try
+      for _ = 1 to 1_000_000 do
+        let a = Gc.alloc gc ~ty ~nfields:2 in
+        Gc.write gc a 1 (Roots.get_global roots head);
+        Roots.set_global roots head (Value.of_addr a)
+      done;
+      Alcotest.fail "a rooted list of a million cells fit in 256 KB"
+    with Gc.Out_of_memory m -> m
+  in
+  checkb
+    ("the first OOM struck mid-collection: " ^ oom)
+    true
+    (Gc.state gc).Beltway.State.in_gc;
+  let completed = Beltway.Gc_stats.gcs (Gc.stats gc) in
+  let expected =
+    Printf.sprintf
+      "heap abandoned: collection %d raised Out_of_memory part-way and never \
+       finished"
+      (completed + 1)
+  in
+  (match Beltway.Verify.check gc with
+  | Ok () -> Alcotest.fail "verify accepted an abandoned heap"
+  | Error e -> Alcotest.(check string) "verify names the abandoned collection" expected e);
+  Alcotest.check_raises "full_collect refuses" (Gc.Out_of_memory expected) (fun () ->
+      Gc.full_collect gc);
+  Alcotest.check_raises "collect refuses" (Gc.Out_of_memory expected) (fun () ->
+      Gc.collect gc);
+  checki "no further collection was logged" completed
+    (Beltway.Gc_stats.gcs (Gc.stats gc))
+
 let suite =
   suite
   @ [
+      ("abandoned heap refuses collection", `Quick, test_abandoned_heap_refuses_collection);
       ("verify detects unremembered pointer", `Quick, test_verify_detects_unremembered_pointer);
       ("verify detects dangling pointer", `Quick, test_verify_detects_dangling_pointer);
       ("verify detects accounting drift", `Quick, test_verify_detects_accounting_drift);

@@ -95,6 +95,58 @@ let test_pause_agreement () =
       if i > 0 then checkb "starts ascend" true (s >= starts.(i - 1)))
     starts
 
+(* Every collection of every strategy, under remsets and under cards,
+   opens and closes the same four phases in the same order: roots, the
+   remset or card drain, the kernel's drain, the kernel's reclaim. *)
+let test_phase_order () =
+  List.iter
+    (fun (strategy, drain, reclaim) ->
+      List.iter
+        (fun (barrier, barrier_phase) ->
+          let config_str =
+            "25.25.100" ^ barrier
+            ^ if strategy = "copying" then "" else "+strategy:" ^ strategy
+          in
+          let expected =
+            List.concat_map
+              (fun p -> [ (p, true); (p, false) ])
+              [ Gc_stats.Phase_roots; barrier_phase; drain; reclaim ]
+          in
+          let gc = Gc.create ~config:(cfg config_str) ~heap_bytes:(256 * 1024) () in
+          let current = ref [] and orders = ref [] in
+          State.add_hooks (Gc.state gc)
+            {
+              State.noop_hooks with
+              on_collect_start = (fun ~reason:_ ~emergency:_ -> current := []);
+              on_gc_phase = (fun ~phase ~enter -> current := (phase, enter) :: !current);
+              on_collect_end = (fun ~full_heap:_ -> orders := List.rev !current :: !orders);
+            };
+          let ty = Gc.register_type gc ~name:"obs.order" in
+          let head = Roots.new_global (Gc.roots gc) Value.null in
+          for i = 1 to 30_000 do
+            let a = Gc.alloc gc ~ty ~nfields:2 in
+            if i mod 96 = 0 then Roots.set_global (Gc.roots gc) head (Value.of_addr a)
+            else Gc.write gc a 1 (Roots.get_global (Gc.roots gc) head)
+          done;
+          Gc.full_collect gc;
+          checkb (config_str ^ ": collections observed") true (List.length !orders > 1);
+          List.iteri
+            (fun i order ->
+              if order <> expected then
+                Alcotest.failf "%s: collection %d phases: %s" config_str i
+                  (String.concat ", "
+                     (List.map
+                        (fun (p, enter) ->
+                          (if enter then "+" else "-") ^ Gc_stats.phase_to_string p)
+                        order)))
+            (List.rev !orders))
+        [ ("", Gc_stats.Phase_remset); ("+cards", Gc_stats.Phase_cards) ])
+    [
+      ("copying", Gc_stats.Phase_cheney, Gc_stats.Phase_free);
+      ("marksweep", Gc_stats.Phase_mark, Gc_stats.Phase_sweep);
+      ("markcompact", Gc_stats.Phase_mark, Gc_stats.Phase_compact);
+    ]
+
 let test_phase_spans () =
   let gc, r = traced_run () in
   let gcs = Gc_stats.gcs (Gc.stats gc) in
@@ -114,7 +166,8 @@ let test_phase_spans () =
     (Recorder.events r);
   checkb "phase spans recorded" true (!seen > 0);
   checkb "cheney phase present" true !saw_cheney;
-  checkb "free phase present" true !saw_free
+  checkb "free phase present" true !saw_free;
+  test_phase_order ()
 
 let test_ring_overflow_keeps_pauses () =
   let gc, r = traced_run ~capacity:8 () in

@@ -11,7 +11,8 @@ let configs =
   [
     "ss"; "appel"; "appel3"; "fixed:25"; "ofm:25"; "of:25"; "25.25"; "25.25.100";
     "10.10.100"; "appel+ttd:8"; "25.25.100+remtrig:2000"; "40.20"; "of:10";
-    "25.25.100+nofilter"; "25.25.100+halfreserve";
+    "25.25.100+nofilter"; "25.25.100+halfreserve"; "appel+cards";
+    "25.25.100+los:128";
   ]
 
 let gc_of config_str =
