@@ -11,6 +11,7 @@ let () =
       ("frame table", Test_frame_table.suite);
       ("schedule", Test_schedule.suite);
       ("gc", Test_gc.suite);
+      ("driver", Test_driver.suite);
       ("fast path", Test_fastpath.suite);
       ("los", Test_los.suite);
       ("cards", Test_cards.suite);
