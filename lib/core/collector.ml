@@ -839,12 +839,12 @@ let abandoned st =
   else
     Some
       (Printf.sprintf
-         "heap abandoned: collection %d raised Out_of_memory part-way and never finished"
+         "heap abandoned: collection %d raised part-way and never finished"
          (Gc_stats.gcs st.State.stats + 1))
 
 let collect st plan =
   (* A collection that raised part-way (a copy reserve that proved
-     insufficient) leaves forwarded objects and in-plan bits behind;
+     insufficient, or a raising hook) leaves forwarded objects and in-plan bits behind;
      collecting over that heap again would only compound the damage. *)
   Option.iter (fun m -> raise (State.Out_of_memory m)) (abandoned st);
   let mem = st.State.mem in

@@ -40,13 +40,15 @@ val collect : State.t -> plan -> Gc_stats.collection
 (** Run the collection: trace from the roots and remembered slots,
     reclaim the plan, log and return the collection record.
     @raise State.Out_of_memory if the copy reserve proves insufficient
-    (heap too small for this program); the collection is then
-    abandoned part-way, and every later [collect] on the same heap
-    raises [State.Out_of_memory] with {!abandoned}'s message. *)
+    (heap too small for this program). A collection left by that or
+    any other exception (a raising hook, say) is abandoned part-way,
+    and every later [collect] on the same heap raises
+    [State.Out_of_memory] with {!abandoned}'s message. *)
 
 val abandoned : State.t -> string option
 (** [Some message] naming the collection that raised part-way when the
-    heap was abandoned that way, [None] otherwise. *)
+    heap was abandoned that way, [None] otherwise. The message names
+    the collection, not the exception: that was raised to the caller. *)
 
 val plan_frames : plan -> int
 val plan_words : plan -> int

@@ -4,7 +4,7 @@
     collector relies on; it is run by the test suite after interleaved
     mutation and collection under every configuration. Checks:
 
-    - no collection was abandoned part-way by [Out_of_memory]
+    - no collection was abandoned part-way by an exception
       (reported first, since it explains any symptom below);
     - every root reference points at a well-formed, non-forwarded
       object in a frame owned by a live increment (or the boot space);

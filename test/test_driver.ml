@@ -11,8 +11,7 @@
    - every plan increment is settled: afterwards no increment, and no
      frame, still carries a plan or mark bit, and a copying collection
      without pinned increments frees exactly the plan's frames;
-   - [Gc.create ~gc_domains:1] is the default heap, and nothing else is
-     accepted for [gc_domains]. *)
+   - [Gc.create] accepts [~gc_domains:1] and nothing else. *)
 
 module Gc = Beltway.Gc
 module Config = Beltway.Config
@@ -216,37 +215,6 @@ let test_contract strategy () =
           (Gc.stats gc).Gc_stats.collections)
     [ "25.25.100"; "25.25.100+los:128"; "appel+cards" ]
 
-(* [gc_domains] survives in [Gc.create] for callers that still pass it;
-   [~gc_domains:1] must be the default heap, bit for bit (the
-   [collection] records are all-scalar, so structural equality is
-   exact), under every strategy. *)
-let test_one_domain_identity () =
-  List.iter
-    (fun strategy ->
-      let config_s, config = config_of ~strategy "25.25.100" in
-      let tr = Trace.random ~seed:7 ~nroots:8 ~len:4000 in
-      let run gc_domains =
-        let gc =
-          Gc.create ~frame_log_words:8 ?gc_domains ~config ~heap_bytes:(768 * 1024) ()
-        in
-        Trace.execute gc tr;
-        Gc.full_collect gc;
-        Gc.stats gc
-      in
-      let a = run None and b = run (Some 1) in
-      checki (config_s ^ ": same collection count") (Gc_stats.gcs a) (Gc_stats.gcs b);
-      checki (config_s ^ ": same words allocated") a.Gc_stats.words_allocated
-        b.Gc_stats.words_allocated;
-      checki (config_s ^ ": same barrier ops") a.Gc_stats.barrier_ops
-        b.Gc_stats.barrier_ops;
-      for i = 0 to Gc_stats.gcs a - 1 do
-        checkb
-          (Printf.sprintf "%s: collection %d identical" config_s i)
-          true
-          (Vec.get a.Gc_stats.collections i = Vec.get b.Gc_stats.collections i)
-      done)
-    Strategy.names
-
 (* Any other domain count is an early, named [Invalid_argument] for
    every strategy, and a rejected request leaves nothing behind: the
    next [Gc.create] on the same config works. *)
@@ -276,6 +244,5 @@ let suite =
     (fun s -> ("driver contract: " ^ s, `Quick, test_contract s))
     Strategy.names
   @ [
-      ("gc_domains 1 is the default heap", `Quick, test_one_domain_identity);
       ("other gc_domains rejected", `Quick, test_domain_rejection);
     ]

@@ -448,8 +448,7 @@ let test_abandoned_heap_refuses_collection () =
   let completed = Beltway.Gc_stats.gcs (Gc.stats gc) in
   let expected =
     Printf.sprintf
-      "heap abandoned: collection %d raised Out_of_memory part-way and never \
-       finished"
+      "heap abandoned: collection %d raised part-way and never finished"
       (completed + 1)
   in
   (match Beltway.Verify.check gc with
@@ -462,10 +461,35 @@ let test_abandoned_heap_refuses_collection () =
   checki "no further collection was logged" completed
     (Beltway.Gc_stats.gcs (Gc.stats gc))
 
+(* Any exception that leaves a collection abandons the heap the same
+   way, and the refusal names the collection, not a cause it cannot
+   know: the exception itself reached the caller. *)
+let test_raising_hook_abandons_heap () =
+  let config = Result.get_ok (Config.parse "25.25.100") in
+  let gc = Gc.create ~config ~heap_bytes:(256 * 1024) () in
+  let ty = Gc.register_type gc ~name:"t" in
+  let roots = Gc.roots gc in
+  ignore (Roots.new_global roots (Value.of_addr (Gc.alloc gc ~ty ~nfields:2)));
+  let st = Gc.state gc in
+  let hooks =
+    { Beltway.State.noop_hooks with on_gc_phase = (fun ~phase:_ ~enter -> if enter then raise Exit) }
+  in
+  Beltway.State.add_hooks st hooks;
+  Alcotest.check_raises "the hook's exception reaches the caller" Exit (fun () ->
+      Gc.full_collect gc);
+  Beltway.State.remove_hooks st hooks;
+  let expected = "heap abandoned: collection 1 raised part-way and never finished" in
+  (match Beltway.Verify.check gc with
+  | Ok () -> Alcotest.fail "verify accepted an abandoned heap"
+  | Error e -> Alcotest.(check string) "verify names the abandoned collection" expected e);
+  Alcotest.check_raises "full_collect refuses" (Gc.Out_of_memory expected) (fun () ->
+      Gc.full_collect gc)
+
 let suite =
   suite
   @ [
       ("abandoned heap refuses collection", `Quick, test_abandoned_heap_refuses_collection);
+      ("raising hook abandons the heap", `Quick, test_raising_hook_abandons_heap);
       ("verify detects unremembered pointer", `Quick, test_verify_detects_unremembered_pointer);
       ("verify detects dangling pointer", `Quick, test_verify_detects_dangling_pointer);
       ("verify detects accounting drift", `Quick, test_verify_detects_accounting_drift);
